@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, checked
 from .domains import BoundaryDatum, mcshane_extend
 from .game import (GameConfig, Strategy, estimate_value, greedy_from_grid,
                    pull_toward, run_episode, episode_rng, stay_strategy)
 from .geometry import GroupPoint, point
-from .meanvalue import BallQuadrature, mv_limit_estimate, mv_residual, variant_from
+from .meanvalue import BallQuadrature, mv_limit_estimate, variant_from
 from .operators import apply_Kp, is_inf, profile_by_name
 from .solver import SolveConfig, solve, write_grid_binary, write_grid_csv
 
@@ -136,7 +136,7 @@ def run_mv_check(cfg: ExperimentConfig, out: Path) -> int:
                 "point": " ".join(repr(c) for c in coords), "epsilon": repr(eps),
                 "residual": repr(res), "residual_over_eps2": repr(sc),
                 "extrapolated_limit": repr(limit), "oracle_value": repr(oracle),
-                "rel_error": repr(rel),
+                "rel_error": repr(rel), **{k: repr(diag[k]) for k in ("observed_order", "noise_flagged")},
             })
     out.mkdir(parents=True, exist_ok=True)
     path = out / "mv_check.csv"
@@ -159,8 +159,8 @@ def _solve_from_config(cfg: ExperimentConfig, eps=None, h=None):
     if y_seed is not None:
         lo = np.asarray(y_seed[:m]), np.asarray(y_seed[m:])
         lo, hi = lo[0], lo[1]
-    sc = SolveConfig(
-        domain=domain, T=sv["t_horizon"], p=sv["p"], epsilon=eps,
+    sc = checked(
+        SolveConfig, domain=domain, T=sv["t_horizon"], p=sv["p"], epsilon=eps,
         h_x=h if h is not None else sv["h_x"], h_y=h if h is not None else sv["h_y"],
         y_seed_lo=lo, y_seed_hi=hi, n_radial=sv["n_radial"],
         boundary_name=cfg["boundary"]["name"],
@@ -221,9 +221,9 @@ def run_play(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     domain = cfgmod.build_domain(cfg)
     m = domain.m
     F = build_boundary(cfg, pl["p"])
-    gc = GameConfig(domain=domain, T=pl["t_horizon"], p=pl["p"], epsilon=pl["epsilon"],
-                    payoff=F, seed=cfg.seed, episodes=pl["episodes"],
-                    noise_method=pl["noise_method"])
+    gc = checked(GameConfig, domain=domain, T=pl["t_horizon"], p=pl["p"], epsilon=pl["epsilon"],
+                 payoff=F, seed=cfg.seed, episodes=pl["episodes"],
+                 noise_method=pl["noise_method"])
     s_one = _strategy(pl["strategy_i"], pl["epsilon"])
     s_two = _strategy(pl["strategy_ii"], pl["epsilon"])
     out.mkdir(parents=True, exist_ok=True)
@@ -299,9 +299,9 @@ def run_cross_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     grid, sc = _solve_from_config(cfg)
     m = grid.m
     F = grid.boundary
-    gc = GameConfig(domain=sc.domain, T=sc.T, p=sc.p, epsilon=sc.epsilon,
-                    payoff=F, seed=cfg.seed, episodes=pl["episodes"],
-                    noise_method=pl["noise_method"], n_radial=sc.n_radial)
+    gc = checked(GameConfig, domain=sc.domain, T=sc.T, p=sc.p, epsilon=sc.epsilon,
+                 payoff=F, seed=cfg.seed, episodes=pl["episodes"],
+                 noise_method=pl["noise_method"], n_radial=sc.n_radial)
     s_one = greedy_from_grid(grid, "maximize")
     s_two = greedy_from_grid(grid, "minimize")
     h = max(grid.h_x, grid.h_y)

@@ -15,8 +15,6 @@ import io
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .domains import Ball, Box, interval
 
 
@@ -220,7 +218,7 @@ def validate(cfg: ExperimentConfig):
     else:
         if len(dom["center"]) != m:
             raise ConfigError(f"domain center must have {m} entries")
-    for g in cfg["play"]["starts"]:
+    for g in cfg["play"]["starts"] if cmd in ("play", "cross-validate") else ():
         if len(g) != 2 * m + 1:
             raise ConfigError(f"each start needs {2 * m + 1} numbers (X.. Y.. t), got {g}")
 
@@ -236,13 +234,21 @@ def serialize(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
+def checked(make, *args, **kw):
+    """Build an object from config values; a value it rejects is a config error."""
+    try:
+        return make(*args, **kw)
+    except ValueError as e:
+        raise ConfigError(f"bad value: {e}") from e
+
+
 def build_domain(cfg: ExperimentConfig):
     dom = cfg["domain"]
     m = dom["m"]
     if dom["shape"] == "interval":
         if m != 1:
             raise ConfigError("interval domains are one-dimensional; use shape=box")
-        return interval(dom["lo"][0], dom["hi"][0])
+        return checked(interval, dom["lo"][0], dom["hi"][0])
     if dom["shape"] == "box":
-        return Box(dom["lo"], dom["hi"])
-    return Ball(dom["center"], dom["radius"])
+        return checked(Box, dom["lo"], dom["hi"])
+    return checked(Ball, dom["center"], dom["radius"])

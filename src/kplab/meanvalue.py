@@ -17,11 +17,12 @@ import math
 import numpy as np
 
 from .geometry import GroupPoint
-from .operators import SmoothProfile, coin_weights, is_inf
+from .operators import SmoothProfile, coin_weights
 from .quadrature import BallQuadrature, gauss_interval, golden_section_extremum
 
 _OUTER_GAUSS = 8  # per-axis rule for the position-ball and time-window averages
 _GOLDEN_ITERS = 40
+_SCAN_BLOCK = 16  # outer nodes per disc scan: bounds the (block, scan, m) temporaries
 
 
 class MeanValueVariant(enum.Enum):
@@ -78,42 +79,51 @@ def _interval_extrema(f_sig, B: int, sig_scan: np.ndarray):
     return out[0], out[1]
 
 
-def _disc_extremum(f_off, pts: np.ndarray, maximize: bool):
-    """One extremum over the closed unit disc (single objective, m = 2)."""
-    r = np.linalg.norm(pts, axis=-1)
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    vals = f_off(pts)
-    idx = int(np.argmax(vals) if maximize else np.argmin(vals))
-    best = vals[idx]
+def _disc_extrema(f_off, B: int, offs: np.ndarray, w: np.ndarray):
+    """Max, min and ball mean over the closed unit disc for B batched objectives (m = 2).
 
-    def f_polar(rr, th):
-        return f_off(np.stack([rr * np.cos(th), rr * np.sin(th)], axis=-1))
+    ``f_off(off, rows)`` maps offsets (len(rows), ..., 2) to the values of
+    objectives ``rows``.  The quadrature offsets (whose weighted sum is the
+    mean), a 32-point ring and the centre are scanned in blocks of _SCAN_BLOCK
+    objectives; one golden-section pass per extremum then refines all B rows
+    along a polar line: the ring, a radius between neighbouring scan radii, or
+    from the centre toward the best off-centre scan point.
+    """
+    ring = np.stack([np.cos(2 * np.pi * np.arange(32) / 32),
+                     np.sin(2 * np.pi * np.arange(32) / 32)], axis=-1)
+    scan = np.concatenate([offs, ring, np.zeros((1, 2))])
+    r = np.linalg.norm(scan, axis=-1)
+    theta = np.arctan2(scan[:, 1], scan[:, 0])
+    radii = np.array(sorted(set(np.round(r, 14))))  # np.unique would import numpy.ma (~1 MB resident)
+    dth = 2 * np.pi / max(np.count_nonzero(np.abs(r - 1) < 1e-12), 4)
+    means, best = np.empty(B), np.empty((2, B))  # best: scanned, then refined, max and min
+    idx, nb = np.empty((2, B), dtype=np.intp), np.empty((2, B), dtype=np.intp)  # nb fixes a radial theta
+    for b0 in range(0, B, _SCAN_BLOCK):
+        rows = np.arange(b0, min(b0 + _SCAN_BLOCK, B))
+        vals = f_off(np.broadcast_to(scan, (len(rows),) + scan.shape), rows)
+        # stacked (1, k) @ (k,) products: one dot per row, summed as a single node's
+        means[rows] = np.matmul(vals[:, None, :len(offs)], w)[:, 0]
+        for j, i in enumerate((np.argmax(vals, axis=1), np.argmin(vals, axis=1))):
+            idx[j, rows] = nb[j, rows] = i
+            best[j, rows] = vals[np.arange(len(rows)), i]
+            c = r[i] < 1e-12  # at the centre: the next scan point in the extremum's ranking
+            order = np.argsort(-vals[c] if j == 0 else vals[c], axis=1)
+            nb[j, rows[c]] = order[np.arange(len(order)), np.argmax(r[order] > 1e-12, axis=1)]
+    for j, maximize in enumerate((True, False)):
+        i, on_ring, centre = idx[j], r[idx[j]] > 1 - 1e-12, r[idx[j]] < 1e-12
+        k = np.searchsorted(radii, r[i])
+        lo = np.where(on_ring, theta[i] - dth, np.where(centre, 0.0, radii[np.maximum(k - 1, 0)]))
+        hi = np.where(on_ring, theta[i] + dth,
+                      np.where(centre, r[nb[j]], radii[np.minimum(k + 1, len(radii) - 1)]))
+        th0 = theta[nb[j]]
 
-    if r[idx] > 1 - 1e-12:
-        ring = np.abs(r - 1) < 1e-12
-        dth = 2 * np.pi / max(np.count_nonzero(ring), 4)
-        refined = golden_section_extremum(
-            lambda th: f_polar(np.ones_like(th), th),
-            np.array([theta[idx] - dth]), np.array([theta[idx] + dth]), maximize,
-            iters=_GOLDEN_ITERS,
-        )[0]
-    else:
-        if r[idx] < 1e-12:
-            order = np.argsort(vals if not maximize else -vals)
-            nb = next(i for i in order if r[i] > 1e-12)
-            th0, hi = theta[nb], r[nb]
-            lo = 0.0
-        else:
-            th0 = theta[idx]
-            radii = np.unique(np.round(r, 14))
-            k = int(np.searchsorted(radii, r[idx]))
-            lo = radii[max(k - 1, 0)]
-            hi = radii[min(k + 1, len(radii) - 1)]
-        refined = golden_section_extremum(
-            lambda rr: f_polar(rr, np.full_like(rr, th0)),
-            np.array([lo]), np.array([hi]), maximize, iters=_GOLDEN_ITERS,
-        )[0]
-    return max(best, refined) if maximize else min(best, refined)
+        def f_line(s):
+            rr, th = np.where(on_ring, 1.0, s), np.where(on_ring, s, th0)
+            return f_off(np.stack([rr * np.cos(th), rr * np.sin(th)], axis=-1), slice(None))
+
+        refined = golden_section_extremum(f_line, lo, hi, maximize, iters=_GOLDEN_ITERS)
+        best[j] = np.maximum(refined, best[j]) if maximize else np.minimum(refined, best[j])
+    return best[0], best[1], means
 
 
 def _point_scalar(g: GroupPoint):
@@ -176,22 +186,15 @@ def mv_value(phi: SmoothProfile, g: GroupPoint, p, eps: float, variant, quad: Ba
         def f_off(off):
             Xq = X + eps * off
             Yq = Y + eps**2 / 2 * (X if shift_center else Xq)
-            Yq = np.broadcast_to(Yq, Xq.shape).copy()
-            tq = np.full(Xq.shape[:-1], t1)
-            return phi.value(GroupPoint(Xq, Yq, tq))
+            return phi.value(GroupPoint(Xq, np.broadcast_to(Yq, Xq.shape), np.full(Xq.shape[:-1], t1)))
 
-        mean = float(f_off(offs) @ w)
         if m == 1:
             sig_scan = np.unique(np.concatenate([offs[:, 0], [-1.0, 0.0, 1.0]]))
-            mx, mn = _interval_extrema(lambda s: f_off(s[..., None]), 1, sig_scan)
-            mx, mn = float(mx[0]), float(mn[0])
+            (mx,), (mn,) = _interval_extrema(lambda s: f_off(s[..., None]), 1, sig_scan)
+            mean = f_off(offs) @ w
         else:
-            ring = np.stack([np.cos(2 * np.pi * np.arange(32) / 32),
-                             np.sin(2 * np.pi * np.arange(32) / 32)], axis=-1)
-            scan = np.concatenate([offs, ring, np.zeros((1, m))])
-            mx = float(_disc_extremum(f_off, scan, True))
-            mn = float(_disc_extremum(f_off, scan, False))
-        return alpha / 2 * (mx + mn) + beta * mean
+            (mx,), (mn,), (mean,) = _disc_extrema(lambda off, rows: f_off(off), 1, offs, w)
+        return float(alpha / 2 * (mx + mn) + beta * mean)
 
     # V1 / V3: optimize and average inside a position-ball x time-window average
     shift_center = variant is MeanValueVariant.V1_shiftX
@@ -210,23 +213,14 @@ def mv_value(phi: SmoothProfile, g: GroupPoint, p, eps: float, variant, quad: Ba
         mx, mn = _interval_extrema(f_sig, B, sig_scan)
         means = f_sig(np.broadcast_to(offs[:, 0], (B, len(offs)))) @ w
     else:
-        ring = np.stack([np.cos(2 * np.pi * np.arange(32) / 32),
-                         np.sin(2 * np.pi * np.arange(32) / 32)], axis=-1)
-        scan = np.concatenate([offs, ring, np.zeros((1, m))])
-        mx = np.empty(B)
-        mn = np.empty(B)
-        means = np.empty(B)
-        for b in range(B):
-            def f_off(off, Yb=Yg[b], tb=tg[b]):
-                Xq = X + eps * off
-                xs = X if shift_center else Xq
-                Yq = Yb - (tb - t) * xs
-                Yq = np.broadcast_to(Yq, Xq.shape).copy()
-                return phi.value(GroupPoint(Xq, Yq, np.full(Xq.shape[:-1], tb)))
+        def f_off(off, rows):
+            Xq = X + eps * off
+            xs = X if shift_center else Xq
+            tb = _expand(tg[rows], off[..., 0])
+            Yq = Yg[rows].reshape(tb.shape + (m,)) - (tb[..., None] - t) * xs
+            return phi.value(GroupPoint(Xq, np.broadcast_to(Yq, Xq.shape), np.broadcast_to(tb, Xq.shape[:-1])))
 
-            mx[b] = _disc_extremum(f_off, scan, True)
-            mn[b] = _disc_extremum(f_off, scan, False)
-            means[b] = f_off(offs) @ w
+        mx, mn, means = _disc_extrema(f_off, B, offs, w)
 
     return float(alpha / 2 * (wg @ mx) + alpha / 2 * (wg @ mn) + beta * (wg @ means))
 

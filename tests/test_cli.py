@@ -72,6 +72,14 @@ def test_mv_check_runs_and_writes_csv(tmp_path):
     assert abs(float(first[6]) - 1 / 3) < 0.05 / 3
 
 
+def test_mv_check_m2_without_play_section(tmp_path):
+    rc = main(["mv-check", "--config", str(CONFIG_DIR / "mv_check_m2.cfg"), "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "mv_check.csv").read_text().splitlines()
+    assert rows[0].split(",")[-2:] == ["observed_order", "noise_flagged"]
+    assert len(rows) == 1 + 4 * 3
+
+
 def test_solve_command_artifacts(tmp_path):
     cfg = parse((CONFIG_DIR / "solve_affine.cfg").read_text())
     cfg.sections["solve"]["epsilon"] = 0.3   # shrink for test speed
@@ -122,6 +130,13 @@ def test_exit_code_2_on_bad_config(tmp_path):
     bad.write_text("[experiment]\ncommand = play\nnonsense = 1\n")
     assert main(["play", "--config", str(bad)]) == 2
     assert main(["play", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("line", ["epsilon = -0.1", "p = 1.5"])
+def test_exit_code_2_on_bad_solve_value(tmp_path, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[experiment]\ncommand = solve\n[solve]\n{line}\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
 def test_exit_code_2_on_command_mismatch(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kplab.geometry import GroupPoint, point
-from kplab.meanvalue import MeanValueVariant, mv_value, mv_residual, mv_limit_estimate, variant_from
+from kplab.meanvalue import (_SCAN_BLOCK, MeanValueVariant, _disc_extrema, mv_value, mv_residual,
+                             mv_limit_estimate, variant_from)
 from kplab.operators import (apply_K, apply_Kp, coin_weights, constant_profile,
                              affine_profile, y_plus_tx_profile, quadratic_profile,
                              x_squared_profile, poly_mix_profile, trig_profile,
@@ -147,6 +148,62 @@ def test_m2_pointwise_variant():
     oracle = float(apply_Kp(phi, g2, p)) / (2.0 * (2 + p))
     lim, _ = mv_limit_estimate(phi, g2, p, "V4", [0.2, 0.1, 0.05])
     assert lim == pytest.approx(oracle, rel=0.05)
+
+
+G2 = GroupPoint(np.array([0.6, -0.3]), np.array([0.2, 0.1]), 0.5)
+
+# exact m=2 values at p=3, eps=0.2, pinned so that any change in the disc
+# search's arithmetic shows; the X = 0 point puts the minimum at the disc centre
+M2_PINNED = {
+    ("x_squared", "V1"): 0.37599999999999995, ("x_squared", "V2"): 0.37599999999999995,
+    ("x_squared", "V3"): 0.37599999999999995, ("x_squared", "V4"): 0.37599999999999995,
+    ("trig", "V1"): 1.8954507025578788, ("trig", "V2"): 1.8953486524323118,
+    ("trig", "V3"): 1.895766536963185, ("trig", "V4"): 1.895665524076915,
+    ("sq_norm_x", "V1"): 0.019999999999999997, ("sq_norm_x", "V2"): 0.019999999999999997,
+    ("sq_norm_x", "V3"): 0.019999999999999997, ("sq_norm_x", "V4"): 0.019999999999999997,
+}
+
+
+def test_m2_values_pinned():
+    centre = GroupPoint(np.zeros(2), np.array([0.2, 0.1]), 0.5)
+    cases = {"x_squared": (x_squared_profile(2), G2), "trig": (trig_profile(2), G2),
+             "sq_norm_x": (sq_norm_x_profile(2), centre)}
+    for (name, v), expected in M2_PINNED.items():
+        phi, g = cases[name]
+        assert mv_value(phi, g, 3.0, 0.2, v) == expected, (name, v)
+
+
+def test_disc_extrema_match_dense_polar_search():
+    # row b is sign_b * |off - c_b|^2: with c outside the disc the extremum of
+    # that sign lies on the ring, inside it the extremum is interior, and next
+    # to the origin the best scan point is the centre; the other extremum is
+    # on the ring.  The batch spans more than one scan block.
+    cases = [(-1.0, (2.0, 0.5)), (1.0, (2.0, 0.5)), (-1.0, (0.3, -0.45)),
+             (1.0, (0.3, -0.45)), (-1.0, (0.02, 0.01)), (1.0, (0.02, 0.01))]
+    B = 2 * _SCAN_BLOCK + 3
+    sign = np.array([cases[b % 6][0] for b in range(B)])
+    c = np.array([cases[b % 6][1] for b in range(B)]) * (1 + 0.01 * (np.arange(B) // 6))[:, None]
+
+    def f_off(off, rows):
+        shape = (-1,) + (1,) * (off.ndim - 2)
+        return sign[rows].reshape(shape) * np.sum((off - c[rows].reshape(shape + (2,))) ** 2, axis=-1)
+
+    offs, w = BallQuadrature().points_weights(2)
+    mx, mn, means = _disc_extrema(f_off, B, offs, w)
+    rr, th = np.meshgrid(np.linspace(0.0, 1.0, 401), np.linspace(-np.pi, np.pi, 1441), indexing="ij")
+    dense = np.stack([rr.ravel() * np.cos(th.ravel()), rr.ravel() * np.sin(th.ravel())], axis=-1)
+    for b in range(B):
+        vals = f_off(dense[None], [b])[0]
+        assert abs(mx[b] - vals.max()) < 1e-4 and abs(mn[b] - vals.min()) < 1e-4, b
+        assert means[b] == f_off(offs[None], [b])[0] @ w
+
+
+def test_m2_limits_match_operator_oracle():
+    for phi in (sq_norm_x_profile(2), trig_profile(2)):
+        oracle = float(apply_Kp(phi, G2, 3.0)) / (2.0 * (2 + 3.0))
+        for v in ALL_V:
+            lim, _ = mv_limit_estimate(phi, G2, 3.0, v, [0.2, 0.1, 0.05])
+            assert lim == pytest.approx(oracle, rel=0.05), (phi.name, v)
 
 
 def test_constant_shift_identity():
