@@ -4,7 +4,8 @@ solver-vs-game cross-validation.
 Every run is driven by a config file (see kplab.config); outputs are CSV and
 JSON written under the output directory.  Exit codes: 0 on success, 1 when a
 threshold declared in the config is violated, 2 on config or I/O errors.
-Results are byte-identical for a fixed seed regardless of --threads.
+Results are byte-identical for a fixed seed; --threads is accepted and
+changes nothing.
 """
 
 from __future__ import annotations
@@ -29,33 +30,25 @@ from .operators import apply_Kp, is_inf, profile_by_name
 from .solver import SolveConfig, solve, write_grid_binary, write_grid_csv
 
 
+NAMED_BOUNDARIES = ("const", "linear", "y_plus_tx", "quadratic_p")
+
+
+def boundary_profile(cfg: ExperimentConfig, p):
+    """The exact-solution profile a named boundary datum is; None for custom tables."""
+    b = cfg["boundary"]
+    if b["name"] not in NAMED_BOUNDARIES:
+        return None
+    return checked(profile_by_name, b["name"], cfg["domain"]["m"], p=p, c=b["c"], a=b["a"], b=b["b"])
+
+
 def build_boundary(cfg: ExperimentConfig, p) -> BoundaryDatum:
-    """Named built-in boundary data; custom tables go through the Lipschitz extension."""
+    """Named data are catalog profiles; custom tables go through the Lipschitz extension."""
     b = cfg["boundary"]
     m = cfg["domain"]["m"]
-    name = b["name"]
-    if name == "const":
-        c = b["c"]
-        return BoundaryDatum("const", lambda X, Y, t: np.full(np.shape(t), c), abs(c), 0.0)
-    if name == "linear":
-        a = np.asarray(b["a"] if b["a"] is not None else np.ones(m), float)
-        bb = b["b"]
-        return BoundaryDatum("linear", lambda X, Y, t: np.sum(a * X, axis=-1) + bb,
-                             math.inf, float(np.linalg.norm(a)))
-    if name == "y_plus_tx":
-        e = np.zeros(m)
-        e[0] = 1.0
-        return BoundaryDatum("y_plus_tx",
-                             lambda X, Y, t: np.sum(e * Y, axis=-1) + np.asarray(t) * np.sum(e * X, axis=-1),
-                             math.inf, None)
-    if name == "quadratic_p":
-        from .operators import quadratic_time_coefficient
-
-        c = quadratic_time_coefficient(p, m)
-        return BoundaryDatum("quadratic_p",
-                             lambda X, Y, t: np.sum(X**2, axis=-1) + c * np.asarray(t),
-                             math.inf, None, params={"p": p})
-    if name == "custom-table":
+    phi = boundary_profile(cfg, p)
+    if phi is not None:
+        return BoundaryDatum(b["name"], phi.fn)
+    if b["name"] == "custom-table":
         if not b["table"]:
             raise ConfigError("custom-table boundary requires boundary.table = <csv path>")
         if b["lipschitz"] is None:
@@ -67,23 +60,7 @@ def build_boundary(cfg: ExperimentConfig, p) -> BoundaryDatum:
                 Y = [float(row[f"y{d + 1}"]) for d in range(m)]
                 samples.append((point(X, Y, float(row["t"])), float(row["value"])))
         return mcshane_extend(samples, b["lipschitz"])
-    raise ConfigError(f"unknown boundary name {name!r}")
-
-
-def _exact_profile_for_boundary(cfg: ExperimentConfig, p):
-    """The catalog profile matching a boundary name, when the datum is an exact solution."""
-    name = cfg["boundary"]["name"]
-    m = cfg["domain"]["m"]
-    b = cfg["boundary"]
-    if name == "const":
-        return profile_by_name("const", m, c=b["c"])
-    if name == "linear":
-        return profile_by_name("linear", m, a=b["a"] if b["a"] is not None else np.ones(m), b=b["b"])
-    if name == "y_plus_tx":
-        return profile_by_name("y_plus_tx", m)
-    if name == "quadratic_p":
-        return profile_by_name("quadratic_p", m, p=p)
-    return None
+    raise ConfigError(f"unknown boundary name {b['name']!r}")
 
 
 def _strategy(spec: str, eps: float, grid=None) -> Strategy:
@@ -125,8 +102,8 @@ def run_mv_check(cfg: ExperimentConfig, out: Path) -> int:
     rows = []
     failed = False
     for vname in mv["variants"]:
-        variant = variant_from(vname)
-        limit, diag = mv_limit_estimate(phi, g, p, variant, ladder, quad)
+        variant = checked(variant_from, vname)
+        limit, diag = checked(mv_limit_estimate, phi, g, p, variant, ladder, quad)
         rel = abs(limit - oracle) / abs(oracle) if abs(oracle) > 1e-9 else math.nan
         if mv["max_rel_error"] is not None and not math.isnan(rel) and rel > mv["max_rel_error"]:
             failed = True
@@ -152,18 +129,13 @@ def run_mv_check(cfg: ExperimentConfig, out: Path) -> int:
 def _solve_from_config(cfg: ExperimentConfig, eps=None, h=None):
     sv = cfg["solve"]
     domain = cfgmod.build_domain(cfg)
-    m = domain.m
     eps = sv["epsilon"] if eps is None else eps
     y_seed = sv["y_seed"]
-    lo = hi = None
-    if y_seed is not None:
-        lo = np.asarray(y_seed[:m]), np.asarray(y_seed[m:])
-        lo, hi = lo[0], lo[1]
+    lo, hi = (None, None) if y_seed is None else (y_seed[:domain.m], y_seed[domain.m:])
     sc = checked(
         SolveConfig, domain=domain, T=sv["t_horizon"], p=sv["p"], epsilon=eps,
         h_x=h if h is not None else sv["h_x"], h_y=h if h is not None else sv["h_y"],
-        y_seed_lo=lo, y_seed_hi=hi, n_radial=sv["n_radial"],
-        boundary_name=cfg["boundary"]["name"],
+        y_seed_lo=lo, y_seed_hi=hi,
     )
     F = build_boundary(cfg, sv["p"])
     return solve(sc, F), sc
@@ -203,7 +175,7 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
         write_grid_csv(grid, out / "grid.csv")
         report["grid_csv"] = "grid.csv"
     failed = False
-    phi = _exact_profile_for_boundary(cfg, sc.p)
+    phi = boundary_profile(cfg, sc.p)
     if phi is not None:
         err = _grid_error_vs_profile(grid, phi)
         report["max_node_error_vs_exact"] = err
@@ -216,22 +188,20 @@ def run_solve(cfg: ExperimentConfig, out: Path) -> int:
     return 1 if failed else 0
 
 
-def run_play(cfg: ExperimentConfig, out: Path, threads: int) -> int:
+def run_play(cfg: ExperimentConfig, out: Path) -> int:
     pl = cfg["play"]
     domain = cfgmod.build_domain(cfg)
     m = domain.m
     F = build_boundary(cfg, pl["p"])
     gc = checked(GameConfig, domain=domain, T=pl["t_horizon"], p=pl["p"], epsilon=pl["epsilon"],
-                 payoff=F, seed=cfg.seed, episodes=pl["episodes"],
-                 noise_method=pl["noise_method"])
+                 payoff=F, seed=cfg.seed, episodes=pl["episodes"])
     s_one = _strategy(pl["strategy_i"], pl["epsilon"])
     s_two = _strategy(pl["strategy_ii"], pl["epsilon"])
     out.mkdir(parents=True, exist_ok=True)
     results = []
     for start in pl["starts"]:
         X0, Y0, t0 = start[:m], start[m:2 * m], start[2 * m]
-        mean, se, taus = estimate_value(gc, (X0, Y0, t0), s_one, s_two,
-                                        threads=threads, collect_tau=True)
+        mean, se, taus = checked(estimate_value, gc, (X0, Y0, t0), s_one, s_two, collect_tau=True)
         hist = {str(k): int(c) for k, c in zip(*np.unique(taus, return_counts=True))}
         results.append({"start": list(start), "mean": mean, "se": se,
                         "n": pl["episodes"], "tau_histogram": hist})
@@ -257,7 +227,7 @@ def run_play(cfg: ExperimentConfig, out: Path, threads: int) -> int:
 def run_sweep(cfg: ExperimentConfig, out: Path) -> int:
     sw = cfg["sweep"]
     m = cfg["domain"]["m"]
-    phi = _exact_profile_for_boundary(cfg, cfg["solve"]["p"])
+    phi = boundary_profile(cfg, cfg["solve"]["p"])
     if phi is None:
         raise ConfigError("sweep requires a boundary datum with an exact-solution counterpart")
     if m != 1:
@@ -294,14 +264,13 @@ def run_sweep(cfg: ExperimentConfig, out: Path) -> int:
     return 1 if failed else 0
 
 
-def run_cross_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
+def run_cross_validate(cfg: ExperimentConfig, out: Path) -> int:
     pl = cfg["play"]
     grid, sc = _solve_from_config(cfg)
     m = grid.m
     F = grid.boundary
     gc = checked(GameConfig, domain=sc.domain, T=sc.T, p=sc.p, epsilon=sc.epsilon,
-                 payoff=F, seed=cfg.seed, episodes=pl["episodes"],
-                 noise_method=pl["noise_method"], n_radial=sc.n_radial)
+                 payoff=F, seed=cfg.seed, episodes=pl["episodes"])
     s_one = greedy_from_grid(grid, "maximize")
     s_two = greedy_from_grid(grid, "minimize")
     h = max(grid.h_x, grid.h_y)
@@ -311,7 +280,7 @@ def run_cross_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     for start in pl["starts"]:
         X0, Y0, t0 = np.asarray(start[:m]), np.asarray(start[m:2 * m]), start[2 * m]
         gv = float(grid.interpolate(X0, Y0, t0))
-        mean, se = estimate_value(gc, (X0, Y0, t0), s_one, s_two, threads=threads)
+        mean, se = checked(estimate_value, gc, (X0, Y0, t0), s_one, s_two)
         diff = abs(mean - gv)
         tol = 3 * se + tol_grid
         ok = bool(diff <= tol)
@@ -329,28 +298,25 @@ def run_cross_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     return 1 if failed else 0
 
 
-def run(cfg: ExperimentConfig, out_dir=None, seed=None, threads=None) -> int:
+def run(cfg: ExperimentConfig, out_dir=None, seed=None) -> int:
     """Dispatch one experiment; returns the process exit code."""
     if seed is not None:
         cfg.sections["experiment"]["seed"] = seed
     if out_dir is not None:
         cfg.sections["experiment"]["out"] = str(out_dir)
-    if threads is not None:
-        cfg.sections["experiment"]["threads"] = threads
     cfgmod.validate(cfg)
     out = Path(cfg.sections["experiment"]["out"])
-    nthreads = cfg.sections["experiment"]["threads"] or 1
     cmd = cfg.command
     if cmd == "mv-check":
         return run_mv_check(cfg, out)
     if cmd == "solve":
         return run_solve(cfg, out)
     if cmd == "play":
-        return run_play(cfg, out, nthreads)
+        return run_play(cfg, out)
     if cmd == "sweep":
         return run_sweep(cfg, out)
     if cmd == "cross-validate":
-        return run_cross_validate(cfg, out, nthreads)
+        return run_cross_validate(cfg, out)
     raise ConfigError(f"config declares no runnable command (got {cmd!r})")
 
 
@@ -362,7 +328,8 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--threads", type=int, default=None, help="0 = auto; never changes results")
+        sp.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; runs are single-threaded")
     args = ap.parse_args(argv)
     try:
         text = Path(args.config).read_text()
@@ -376,7 +343,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares command {declared!r} but subcommand is {args.subcommand!r}")
         cfg.sections["experiment"]["command"] = args.subcommand
-        return run(cfg, out_dir=args.out, seed=args.seed, threads=args.threads)
+        return run(cfg, out_dir=args.out, seed=args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

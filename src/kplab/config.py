@@ -122,7 +122,6 @@ SCHEMA = {
         "h_x": (_opt(float), _ser_opt(lambda v: repr(float(v))), None),
         "h_y": (_opt(float), _ser_opt(lambda v: repr(float(v))), None),
         "y_seed": (_opt(_parse_floats), _ser_opt(_ser_floats), None),
-        "n_radial": _int + (30,),
         "write_csv": (_parse_bool, _ser_bool, False),
         "write_binary": (_parse_bool, _ser_bool, True),
         "max_error": (_opt(float), _ser_opt(lambda v: repr(float(v))), None),
@@ -136,7 +135,6 @@ SCHEMA = {
         "strategy_i": _ident + ("stay",),
         "strategy_ii": _ident + ("stay",),
         "log_episodes": (_parse_bool, _ser_bool, False),
-        "noise_method": _ident + ("polar",),
     },
     "sweep": {
         "epsilons": (_parse_floats, _ser_floats, [0.4, 0.2, 0.1]),
@@ -235,7 +233,7 @@ def serialize(cfg: ExperimentConfig) -> str:
 
 
 def checked(make, *args, **kw):
-    """Build an object from config values; a value it rejects is a config error."""
+    """Call ``make`` on config values; a value it rejects (ValueError) is a config error."""
     try:
         return make(*args, **kw)
     except ValueError as e:

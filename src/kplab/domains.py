@@ -9,7 +9,7 @@ both stop there and read off the boundary datum.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -211,18 +211,14 @@ class BoundaryDatum:
     """Payoff / boundary function on the parabolic collar.
 
     ``fn`` is a closed-form evaluator (X, Y, t) -> values accepting batched
-    arrays; closed-form evaluators are Borel in X and uniformly continuous in
-    Y by construction, so those conditions are documented rather than tested.
-    ``bound`` is a constant with |F| <= bound on the collar (checked on
-    samples).  ``lipschitz`` is an optional constant for the quasi-metric
-    modulus, verified empirically rather than assumed.
+    arrays: the ``fn`` of an exact-solution profile (kplab.operators) for the
+    named data, a Lipschitz extension for sampled data.  Closed-form
+    evaluators are Borel in X and uniformly continuous in Y by construction,
+    so those conditions are documented rather than tested.
     """
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    bound: float
-    lipschitz: float | None = None
-    params: dict = field(default_factory=dict)
 
     def __call__(self, X, Y, t) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(X, float), np.asarray(Y, float), np.asarray(t, float)), dtype=float)
@@ -255,14 +251,12 @@ def mcshane_extend(samples: Sequence[tuple[GroupPoint, float]], L: float) -> Bou
         raise ValueError("need at least one sample")
     pts = [g for g, _ in samples]
     vals = np.array([float(v) for _, v in samples])
-    m = pts[0].m
     SX = np.stack([g.X for g in pts])
     SY = np.stack([g.Y for g in pts])
     St = np.array([float(g.t) for g in pts])
     sp = GroupPoint(SX, SY, St)
 
     # pairwise validation of the declared constant
-    n = len(pts)
     a = GroupPoint(SX[:, None, :] + 0 * SX[None, :, :], SY[:, None, :] + 0 * SY[None, :, :], St[:, None] + 0 * St[None, :])
     b = GroupPoint(0 * SX[:, None, :] + SX[None, :, :], 0 * SY[:, None, :] + SY[None, :, :], 0 * St[:, None] + St[None, :])
     dmat = extension_metric(a, b)
@@ -284,7 +278,7 @@ def mcshane_extend(samples: Sequence[tuple[GroupPoint, float]], L: float) -> Bou
         out = np.min(vals + L * d, axis=-1)
         return np.clip(out, -B, B)
 
-    return BoundaryDatum(name="mcshane", fn=fn, bound=B, lipschitz=L, params={"n_samples": n})
+    return BoundaryDatum("mcshane", fn)
 
 
 def verify_g_eps_lipschitz(

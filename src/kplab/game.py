@@ -10,13 +10,12 @@ state.  Expected payoffs estimated here cross-validate the DPP solver.
 
 Episodes draw from counter-based streams keyed by (seed, episode index), so
 results are reproducible independently of scheduling, and payoff aggregation
-uses exact summation, so thread count cannot change any reported value.
+uses exact summation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,7 +23,6 @@ import numpy as np
 
 from .domains import BoundaryDatum, SpatialDomain
 from .operators import coin_weights, is_inf
-from .quadrature import shared_ball_points
 from .solver import ValueGrid, time_ladder
 
 
@@ -60,14 +58,15 @@ class GameConfig:
     payoff: BoundaryDatum
     seed: int = 0
     episodes: int = 1000
-    noise_method: str = "polar"  # or "rejection"
-    n_radial: int = 30           # shared ball point set, must match a paired grid
 
     def __post_init__(self):
         if not (is_inf(self.p) or self.p >= 2):
             raise ValueError(f"game requires p >= 2, got {self.p}")
         if not (self.epsilon > 0 and self.T > 0):
             raise ValueError("epsilon and T must be positive")
+        # read on every step
+        self.alpha = self.alpha_beta[0]
+        self.is_terminal = _terminal_predicate(self.domain)
 
     @property
     def alpha_beta(self):
@@ -80,23 +79,17 @@ def episode_rng(seed: int, episode: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _uniform_ball(rng: np.random.Generator, m: int, method: str) -> np.ndarray:
-    if method == "polar":
-        if m == 1:
-            return np.array([2.0 * rng.random() - 1.0])
+def _uniform_ball(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Uniform point of the open unit ball: a normal direction and radius u^(1/m)."""
+    if m == 1:
+        return np.array([2.0 * rng.random() - 1.0])
+    v = rng.standard_normal(m)
+    n = np.linalg.norm(v)
+    while n == 0.0:
         v = rng.standard_normal(m)
         n = np.linalg.norm(v)
-        while n == 0.0:
-            v = rng.standard_normal(m)
-            n = np.linalg.norm(v)
-        r = rng.random() ** (1.0 / m)
-        return r * v / n
-    if method == "rejection":
-        while True:
-            v = 2.0 * rng.random(m) - 1.0
-            if np.dot(v, v) < 1.0:
-                return v
-    raise ValueError(f"unknown noise method {method!r}")
+    r = rng.random() ** (1.0 / m)
+    return r * v / n
 
 
 def _project_step(X: np.ndarray, target: np.ndarray, eps: float) -> np.ndarray:
@@ -138,11 +131,7 @@ def step(config: GameConfig, state: GameState, s_one: Strategy, s_two: Strategy,
     """Advance one round; returns (new state, coin draw, actor in {'I','II','noise'})."""
     if state.done:
         raise ValueError("cannot step a terminal state")
-    prep = getattr(config, "_prep", None)
-    if prep is None:
-        prep = (config.alpha_beta[0], _terminal_predicate(config.domain))
-        object.__setattr__(config, "_prep", prep)
-    alpha, terminal = prep
+    alpha = config.alpha
     eps = config.epsilon
     u = rng.random()
     if alpha > 0.0 and u < alpha / 2:
@@ -152,14 +141,14 @@ def step(config: GameConfig, state: GameState, s_one: Strategy, s_two: Strategy,
         X_new = _project_step(state.X, s_two(state.X, state.Y, state.k, t), eps)
         actor = "II"
     else:
-        if config.domain.m == 1 and config.noise_method == "polar":
+        if config.domain.m == 1:
             X_new = state.X + eps * (2.0 * rng.random() - 1.0)
         else:
-            X_new = state.X + eps * _uniform_ball(rng, config.domain.m, config.noise_method)
+            X_new = state.X + eps * _uniform_ball(rng, config.domain.m)
         actor = "noise"
     Y_new = state.Y + (eps**2 / 2) * X_new
     k_new = state.k + 1
-    done = terminal(X_new) or k_new >= N
+    done = config.is_terminal(X_new) or k_new >= N
     return GameState(k_new, X_new, Y_new, done), u, actor
 
 
@@ -205,32 +194,22 @@ def _exact_mean_se(payoffs: np.ndarray):
 
 
 def estimate_value(config: GameConfig, start, s_one: Strategy, s_two: Strategy,
-                   episodes: int | None = None, threads: int = 1,
-                   collect_tau: bool = False):
+                   episodes: int | None = None, collect_tau: bool = False):
     """Sample mean and standard error of the payoff over seeded episodes.
 
-    Each episode uses its own counter-based stream and results land in a
-    fixed slot, so the estimate is identical for any thread count; the final
-    reduction is exact summation.
+    Each episode uses its own counter-based stream keyed by its index; the
+    final reduction is exact summation.
     """
     n = episodes if episodes is not None else config.episodes
     if n < 2:
         raise ValueError("need at least 2 episodes")
     payoffs = np.empty(n)
     taus = np.empty(n, dtype=np.int64) if collect_tau else None
-
-    def work(i):
+    for i in range(n):
         res = run_episode(config, start, s_one, s_two, episode_rng(config.seed, i))
         payoffs[i] = res.payoff
         if collect_tau:
             taus[i] = res.tau
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, range(n)))
-    else:
-        for i in range(n):
-            work(i)
     mean, se = _exact_mean_se(payoffs)
     if collect_tau:
         return mean, se, taus
@@ -263,8 +242,7 @@ def pull_toward(Z, eps: float) -> Strategy:
     return Strategy(chooser, f"pull_toward({Z.tolist()})")
 
 
-def greedy_from_grid(grid: ValueGrid, mode: str, delta_snap: float | None = None,
-                     start_time: float | None = None) -> Strategy:
+def greedy_from_grid(grid: ValueGrid, mode: str, delta_snap: float | None = None) -> Strategy:
     """Scan the shared ball point set for the extremal one-step DPP value.
 
     The position is snapped to the delta lattice before evaluation (default

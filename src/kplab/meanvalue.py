@@ -189,7 +189,7 @@ def mv_value(phi: SmoothProfile, g: GroupPoint, p, eps: float, variant, quad: Ba
             return phi.value(GroupPoint(Xq, np.broadcast_to(Yq, Xq.shape), np.full(Xq.shape[:-1], t1)))
 
         if m == 1:
-            sig_scan = np.unique(np.concatenate([offs[:, 0], [-1.0, 0.0, 1.0]]))
+            sig_scan = np.array(sorted(set(np.concatenate([offs[:, 0], [-1.0, 0.0, 1.0]]))))
             (mx,), (mn,) = _interval_extrema(lambda s: f_off(s[..., None]), 1, sig_scan)
             mean = f_off(offs) @ w
         else:
@@ -209,7 +209,7 @@ def mv_value(phi: SmoothProfile, g: GroupPoint, p, eps: float, variant, quad: Ba
             tq = np.broadcast_to(_expand(tg, sig), np.shape(sig)).copy()
             return phi.value(GroupPoint(Xq[..., None], Yq[..., None] * np.ones_like(Xq)[..., None], tq))
 
-        sig_scan = np.unique(np.concatenate([offs[:, 0], [-1.0, 0.0, 1.0]]))
+        sig_scan = np.array(sorted(set(np.concatenate([offs[:, 0], [-1.0, 0.0, 1.0]]))))
         mx, mn = _interval_extrema(f_sig, B, sig_scan)
         means = f_sig(np.broadcast_to(offs[:, 0], (B, len(offs)))) @ w
     else:

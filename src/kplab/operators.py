@@ -51,16 +51,18 @@ def quadratic_time_coefficient(p, m: int) -> float:
 class SmoothProfile:
     """Scalar field with first and second derivatives, the test surface for operators.
 
-    Derivative callables take a batched :class:`GroupPoint` and return arrays:
-    value (...,), grad_x (..., m), hess_x (..., m, m), grad_y (..., m),
-    dt (...,).  Profiles are either analytic (closed-form derivatives) or
-    finite-difference backed (central differences from the value map alone).
+    ``fn`` maps batched arrays (X, Y, t) to values (...,); it is also the
+    closed form of the named boundary data.  Derivative callables take a
+    batched :class:`GroupPoint` and return arrays: grad_x (..., m),
+    hess_x (..., m, m), grad_y (..., m), dt (...,).  Profiles are either
+    analytic (closed-form derivatives) or finite-difference backed (central
+    differences from the value map alone).
     """
 
-    def __init__(self, name, value, grad_x=None, hess_x=None, grad_y=None, dt=None,
+    def __init__(self, name, fn, grad_x=None, hess_x=None, grad_y=None, dt=None,
                  mode="analytic", fd_scale=1e-4):
         self.name = name
-        self._value = value
+        self.fn = fn
         self.mode = mode
         self.fd_scale = fd_scale
         if mode == "analytic":
@@ -73,12 +75,12 @@ class SmoothProfile:
             raise ValueError(f"unknown derivative mode {mode!r}")
 
     @classmethod
-    def from_value(cls, name, value, fd_scale=1e-4):
-        """Finite-difference profile from a value map alone."""
-        return cls(name, value, mode="finite-difference", fd_scale=fd_scale)
+    def from_value(cls, name, fn, fd_scale=1e-4):
+        """Finite-difference profile from a value map (X, Y, t) alone."""
+        return cls(name, fn, mode="finite-difference", fd_scale=fd_scale)
 
     def value(self, g: GroupPoint) -> np.ndarray:
-        return np.asarray(self._value(g), dtype=float)
+        return np.asarray(self.fn(g.X, g.Y, g.t), dtype=float)
 
     def _h(self, g: GroupPoint) -> np.ndarray:
         # step scaled by the point magnitude to balance truncation vs round-off
@@ -278,7 +280,7 @@ def constant_profile(c: float, m: int) -> SmoothProfile:
     zm = lambda g: np.zeros(g.batch_shape + (m,))
     zH = lambda g: np.zeros(g.batch_shape + (m, m))
     zs = lambda g: np.zeros(g.batch_shape)
-    return SmoothProfile(f"const({c})", lambda g: np.full(g.batch_shape, float(c)),
+    return SmoothProfile(f"const({c})", lambda X, Y, t: np.full(np.shape(t), float(c)),
                          zm, zH, zm, zs)
 
 
@@ -288,7 +290,7 @@ def affine_profile(a, b: float, m: int) -> SmoothProfile:
         raise ValueError("coefficient vector must have length m")
     return SmoothProfile(
         "affine",
-        lambda g: np.sum(a * g.X, axis=-1) + b,
+        lambda X, Y, t: np.sum(a * X, axis=-1) + b,
         lambda g: np.broadcast_to(a, g.batch_shape + (m,)).copy(),
         lambda g: np.zeros(g.batch_shape + (m, m)),
         lambda g: np.zeros(g.batch_shape + (m,)),
@@ -296,16 +298,13 @@ def affine_profile(a, b: float, m: int) -> SmoothProfile:
     )
 
 
-def y_plus_tx_profile(m: int, direction=None) -> SmoothProfile:
-    """Y . e + t X . e for a unit vector e; annihilated for every p."""
+def y_plus_tx_profile(m: int) -> SmoothProfile:
+    """Y . e + t X . e for the first axis e = e_1; annihilated for every p."""
     e = np.zeros(m)
     e[0] = 1.0
-    if direction is not None:
-        e = np.asarray(direction, float)
-        e = e / np.linalg.norm(e)
     return SmoothProfile(
         "y_plus_tx",
-        lambda g: np.sum(e * g.Y, axis=-1) + g.t * np.sum(e * g.X, axis=-1),
+        lambda X, Y, t: Y[..., 0] + t * X[..., 0],
         lambda g: np.asarray(g.t)[..., None] * e,
         lambda g: np.zeros(g.batch_shape + (m, m)),
         lambda g: np.broadcast_to(e, g.batch_shape + (m,)).copy(),
@@ -319,7 +318,7 @@ def quadratic_profile(p, m: int) -> SmoothProfile:
     pn = "inf" if is_inf(p) else f"{p:g}"
     return SmoothProfile(
         f"quadratic_p(p={pn})",
-        lambda g: np.sum(g.X**2, axis=-1) + c * np.asarray(g.t),
+        lambda X, Y, t: np.sum(X**2, axis=-1) + c * t,
         lambda g: 2.0 * g.X,
         lambda g: np.broadcast_to(2.0 * np.eye(m), g.batch_shape + (m, m)).copy(),
         lambda g: np.zeros(g.batch_shape + (m,)),
@@ -341,7 +340,7 @@ def x_squared_profile(m: int) -> SmoothProfile:
 
     return SmoothProfile(
         "x_squared",
-        lambda g: g.X[..., 0] ** 2,
+        lambda X, Y, t: X[..., 0] ** 2,
         grad,
         hess,
         lambda g: np.zeros(g.batch_shape + (m,)),
@@ -352,7 +351,7 @@ def x_squared_profile(m: int) -> SmoothProfile:
 def sq_norm_x_profile(m: int) -> SmoothProfile:
     return SmoothProfile(
         "sq_norm_x",
-        lambda g: np.sum(g.X**2, axis=-1),
+        lambda X, Y, t: np.sum(X**2, axis=-1),
         lambda g: 2.0 * g.X,
         lambda g: np.broadcast_to(2.0 * np.eye(m), g.batch_shape + (m, m)).copy(),
         lambda g: np.zeros(g.batch_shape + (m,)),
@@ -363,8 +362,8 @@ def sq_norm_x_profile(m: int) -> SmoothProfile:
 def trig_profile(m: int) -> SmoothProfile:
     """sin(x1) + cos(y1) + t^2 + x1 y1, a smooth non-polynomial non-solution."""
 
-    def value(g):
-        return np.sin(g.X[..., 0]) + np.cos(g.Y[..., 0]) + g.t**2 + g.X[..., 0] * g.Y[..., 0]
+    def value(X, Y, t):
+        return np.sin(X[..., 0]) + np.cos(Y[..., 0]) + t**2 + X[..., 0] * Y[..., 0]
 
     def grad_x(g):
         G = np.zeros(g.batch_shape + (m,))
@@ -387,9 +386,9 @@ def trig_profile(m: int) -> SmoothProfile:
 def poly_mix_profile(m: int) -> SmoothProfile:
     """x1^2 + x1 y1 + 0.5 y1^2 + 0.3 t x1, couples all blocks; not a solution."""
 
-    def value(g):
-        x, y = g.X[..., 0], g.Y[..., 0]
-        return x**2 + x * y + 0.5 * y**2 + 0.3 * g.t * x
+    def value(X, Y, t):
+        x, y = X[..., 0], Y[..., 0]
+        return x**2 + x * y + 0.5 * y**2 + 0.3 * t * x
 
     def grad_x(g):
         G = np.zeros(g.batch_shape + (m,))
@@ -423,7 +422,7 @@ def left_translate(phi: SmoothProfile, g0: GroupPoint) -> SmoothProfile:
 
     return SmoothProfile(
         f"{phi.name}@left",
-        lambda g: phi.value(at(g)),
+        lambda X, Y, t: phi.value(at(GroupPoint(X, Y, t))),
         lambda g: phi.grad_x(at(g)),
         lambda g: phi.hess_x(at(g)),
         lambda g: phi.grad_y(at(g)),
@@ -441,7 +440,7 @@ def dilate_profile(phi: SmoothProfile, r: float) -> SmoothProfile:
 
     return SmoothProfile(
         f"{phi.name}@dilate({r})",
-        lambda g: phi.value(at(g)),
+        lambda X, Y, t: phi.value(at(GroupPoint(X, Y, t))),
         lambda g: r * phi.grad_x(at(g)),
         lambda g: r**2 * phi.hess_x(at(g)),
         lambda g: r**3 * phi.grad_y(at(g)),

@@ -97,29 +97,25 @@ class BallQuadrature:
         return len(self.points_weights(m)[0])
 
 
-def shared_ball_points(m: int, n_radial: int = 30, n_angular: int = 16):
+def shared_ball_points(m: int):
     """Deterministic closed-ball point set shared by the DPP solver and the game.
 
-    Returns (offsets, weights): interior Gauss nodes carry the averaging
-    weights; the boundary sphere and the center are included with weight zero
-    so that extrema scan the closed ball.
+    Returns (offsets, weights): the centre, the tensor rule of
+    ``BallQuadrature(n_radial=30, n_angular=16)`` carrying the averaging
+    weights, then the sphere (the two directions for m = 1, the rule's 16
+    angles for m = 2).  Centre and sphere weigh zero; they make the extrema
+    scan the closed ball.
     """
+    q = BallQuadrature(n_radial=30, n_angular=16)
+    pts, wts = q.points_weights(m)
     if m == 1:
-        r, w = gauss_unit(n_radial)
-        pts = np.concatenate([[0.0], r, -r, [1.0], [-1.0]])[:, None]
-        wts = np.concatenate([[0.0], w / 2, w / 2, [0.0], [0.0]])
-        return pts, wts
-    if m == 2:
-        u, wu = gauss_unit(n_radial)
-        r = np.sqrt(u)
-        theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-        cs, sn = np.cos(theta), np.sin(theta)
-        interior = np.stack([np.outer(r, cs).ravel(), np.outer(r, sn).ravel()], axis=-1)
-        boundary = np.stack([cs, sn], axis=-1)
-        pts = np.concatenate([np.zeros((1, 2)), interior, boundary])
-        wts = np.concatenate([[0.0], np.repeat(wu / n_angular, n_angular), np.zeros(n_angular)])
-        return pts, wts
-    raise NotImplementedError(f"shared ball points implemented for m <= 2, got m={m}")
+        sphere = np.array([[1.0], [-1.0]])
+    else:
+        theta = 2.0 * np.pi * np.arange(q.n_angular) / q.n_angular
+        sphere = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    pts = np.concatenate([np.zeros((1, m)), pts, sphere])
+    wts = np.concatenate([[0.0], wts, np.zeros(len(sphere))])
+    return pts, wts
 
 
 def golden_section_extremum(f, a, b, maximize: bool, iters: int = 40):

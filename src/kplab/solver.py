@@ -67,8 +67,6 @@ class SolveConfig:
     h_y: float | None = None
     y_seed_lo: np.ndarray | None = None  # region the grid must resolve, pre-margin
     y_seed_hi: np.ndarray | None = None
-    n_radial: int = 30            # shared ball point set resolution
-    boundary_name: str = ""
 
     def __post_init__(self):
         if not (is_inf(self.p) or self.p >= 2):
@@ -262,7 +260,7 @@ def build_grid(config: SolveConfig, F: BoundaryDatum) -> ValueGrid:
     )
     N, times_desc = time_ladder(config.T, eps)
     t_slices = times_desc[::-1].copy()
-    offs, wts = shared_ball_points(m, config.n_radial)
+    offs, wts = shared_ball_points(m)
     x_shape = tuple(ax.n for ax in x_axes)
     y_shape = tuple(ax.n for ax in y_axes)
     values = np.empty((N + 1,) + x_shape + y_shape)
@@ -274,7 +272,20 @@ def build_grid(config: SolveConfig, F: BoundaryDatum) -> ValueGrid:
     Xn, Yn = grid.x_nodes(), grid.y_nodes()
     for i, t in enumerate(t_slices):
         values[i] = _boundary_on_nodes(F, Xn, Yn, float(t)).reshape(x_shape + y_shape)
+        _require_finite(grid, i)
     return grid
+
+
+def _require_finite(grid: ValueGrid, i: int):
+    """Raise ValueError naming slice i and one of its nodes if it holds NaN or inf."""
+    finite = np.isfinite(grid.values[i])
+    if finite.all():
+        return
+    node = np.unravel_index(int(np.argmin(finite)), finite.shape)
+    at = [float(ax.origin + ax.spacing * k) for ax, k in zip(grid.x_axes + grid.y_axes, node)]
+    raise ValueError(
+        f"slice {i} (t={float(grid.t_slices[i])!r}) holds {float(grid.values[i][node])!r} at node "
+        f"X={at[:grid.m]}, Y={at[grid.m:]}; the boundary datum must be finite")
 
 
 def apply_dpp(grid: ValueGrid, source_index: int, t_target: float) -> np.ndarray:
@@ -347,6 +358,7 @@ def solve(config: SolveConfig, F: BoundaryDatum) -> ValueGrid:
         if t <= 0:
             continue  # still in the initial slab; datum already in place
         grid.values[i] = apply_dpp(grid, i - 1, t)
+        _require_finite(grid, i)
     return grid
 
 

@@ -33,10 +33,8 @@ def report(num, ok, text):
     assert ok, line
 
 
-def datum_y_plus_tx(shift=0.0):
-    return BoundaryDatum("y_plus_tx",
-                         lambda X, Y, t: Y[..., 0] + np.asarray(t) * X[..., 0] + shift,
-                         math.inf)
+def datum_y_plus_tx():
+    return BoundaryDatum("y_plus_tx", y_plus_tx_profile(1).fn)
 
 
 def test_criterion_01_geometry_suite():
@@ -189,13 +187,14 @@ def test_criterion_07_comparison_principle():
         def f_hi(X, Y, t, f=f_lo, s0=s0, s1=s1):
             return f(X, Y, t) + s0 + s1 * (1 + np.cos(X[..., 0]))
 
-        lo = solve(cfg, BoundaryDatum("lo", f_lo, math.inf))
-        hi = solve(cfg, BoundaryDatum("hi", f_hi, math.inf))
+        lo = solve(cfg, BoundaryDatum("lo", f_lo))
+        hi = solve(cfg, BoundaryDatum("hi", f_hi))
         gap = float(np.min(hi.values - lo.values))
         worst = max(worst, -gap)
         ok &= gap >= -1e-12
-    base = solve(cfg, datum_y_plus_tx())
-    shifted = solve(cfg, datum_y_plus_tx(shift=0.7))
+    F = datum_y_plus_tx()
+    base = solve(cfg, F)
+    shifted = solve(cfg, BoundaryDatum("y_plus_tx+0.7", lambda X, Y, t: F.fn(X, Y, t) + 0.7))
     drift = float(np.max(np.abs(shifted.values - base.values - 0.7)))
     ok &= drift <= 1e-12
     report(7, ok, f"comparison principle on 5 random pairs (worst violation {max(worst,0):.2e}), "
@@ -206,8 +205,7 @@ def test_criterion_08_eps_convergence():
     start = time.perf_counter()
     p = 3.0
     phi = quadratic_profile(p, 1)
-    F = BoundaryDatum("quadratic_p",
-                      lambda X, Y, t: np.sum(X**2, axis=-1) + np.asarray(t), math.inf)
+    F = BoundaryDatum("quadratic_p", phi.fn)  # |X|^2 + t
     errors = []
     for eps in (0.4, 0.2, 0.1):
         cfg = SolveConfig(domain=interval(-1, 1), T=0.5, p=p, epsilon=eps,
@@ -258,8 +256,7 @@ def test_criterion_09_game_dpp_value_equality():
 def test_criterion_10_one_round_oracle():
     start = time.perf_counter()
     eps = 0.3
-    F = BoundaryDatum("quadratic_p",
-                      lambda X, Y, t: np.sum(X**2, axis=-1) + np.asarray(t), math.inf)
+    F = BoundaryDatum("quadratic_p", quadratic_profile(3.0, 1).fn)  # |X|^2 + t
     gc = GameConfig(domain=interval(-1, 1), T=0.5, p=3.0, epsilon=eps,
                     payoff=F, seed=1010, episodes=1_000_000)
     s_one = pull_toward([0.8], eps)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -139,6 +140,20 @@ def test_exit_code_2_on_bad_solve_value(tmp_path, line):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[experiment]\ncommand = mv-check\n[mv]\nepsilons = 0.2 0.15 0.1\n",
+    "[experiment]\ncommand = mv-check\n[mv]\nvariants = V9\n",
+    "[experiment]\ncommand = play\nseed = 1\n[play]\nepisodes = 1\n",
+    "[experiment]\ncommand = solve\n[domain]\nm = 2\nshape = box\nlo = -1 -1\nhi = 1 1\n"
+    "[boundary]\nname = linear\na = 2\n",
+], ids=["ladder", "variant", "episodes", "boundary-a-length"])
+def test_exit_code_2_on_value_checked_during_run(tmp_path, text):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    command = parse(text).command
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
 def test_exit_code_2_on_command_mismatch(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[experiment]\ncommand = solve\n")
@@ -172,3 +187,45 @@ def test_threads_do_not_change_play_output(tmp_path):
         assert rc == 0
         outs.append((out / "play.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+# Small solve / play / cross-validate runs; each file's SHA-256 was recorded
+# from the CLI before the named boundary data were built from the profile
+# catalog, and any change to the seeded outputs shows up here.
+PINNED_RUNS = {
+    "solve": ("[experiment]\ncommand = solve\n"
+              "[domain]\nm = 1\nshape = interval\nlo = -1\nhi = 1\n"
+              "[boundary]\nname = quadratic_p\n"
+              "[solve]\np = 3\nepsilon = 0.2\nt_horizon = 0.3\ny_seed = -0.3 0.3\n"
+              "write_binary = true\n"),
+    "play": ("[experiment]\ncommand = play\nseed = 31\n"
+             "[domain]\nm = 1\nshape = interval\nlo = -1\nhi = 1\n"
+             "[boundary]\nname = linear\na = 0.7\nb = 0.1\n"
+             "[play]\np = 3\nepsilon = 0.2\nt_horizon = 0.5\n"
+             "starts = 0.2 0.0 0.4; -0.5 0.1 0.3\nepisodes = 1000\n"
+             "strategy_i = pull:0.9\nstrategy_ii = pull:-0.9\nlog_episodes = true\n"),
+    "cross-validate": ("[experiment]\ncommand = cross-validate\nseed = 31\n"
+                       "[domain]\nm = 1\nshape = interval\nlo = -1\nhi = 1\n"
+                       "[boundary]\nname = y_plus_tx\n"
+                       "[solve]\np = 3\nepsilon = 0.3\nt_horizon = 0.2\ny_seed = -0.3 0.3\n"
+                       "[play]\np = 3\nepsilon = 0.3\nt_horizon = 0.2\n"
+                       "starts = 0.2 0.0 0.155; -0.3 0.1 0.11\nepisodes = 1000\n"),
+}
+PINNED_SHA256 = {
+    "solve/grid.bin": "6f813281accf0d2977a0e960d20b35416641e88624a31e0c8ba4f8749438765d",
+    "solve/solve_report.json": "7d9e9f21f8c7b4dd9254d811d3c4b62e789afe172a1ab6e67bf90853bc2480fb",
+    "play/play.json": "4ecccac491b3e679b419ba9b758bad2fab1b9121685cf7ef9976431b6dbf3775",
+    "play/play_log.csv": "632b3fb9392c00d8c339d4952e23795e5a09c550e6f34f58e17b56b6af8621a6",
+    "cross-validate/cross_validate.json":
+        "9f235b3042daefc0ee82dbaf81e0ef51114e6524bd00407ed7ea3dccb4bd2232",
+}
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path):
+    for command, text in PINNED_RUNS.items():
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_SHA256}
+    assert got == PINNED_SHA256

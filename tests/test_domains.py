@@ -7,6 +7,7 @@ from kplab.domains import (Ball, Box, interval, ParabolicCollar, Region,
                            BoundaryDatum, mcshane_extend, LipschitzViolation,
                            verify_g_eps_lipschitz, velocity_bound)
 from kplab.geometry import point, GroupPoint, extension_metric
+from kplab.operators import affine_profile, constant_profile, y_plus_tx_profile
 
 
 def test_signed_distance_interval():
@@ -172,9 +173,9 @@ def test_mcshane_bounded_by_sample_max(rng):
 
 def test_verify_lipschitz_const_and_linear():
     collar = ParabolicCollar(interval(-1, 1), 0.1, 0.5)
-    Fc = BoundaryDatum("const", lambda X, Y, t: np.full(np.shape(t), 2.5), 2.5)
+    Fc = BoundaryDatum("const", constant_profile(2.5, 1).fn)
     assert verify_g_eps_lipschitz(Fc, collar, 500, seed=5) == 0.0
-    Fx = BoundaryDatum("x1", lambda X, Y, t: X[..., 0], 1.2)
+    Fx = BoundaryDatum("x1", affine_profile([1.0], 0.0, 1).fn)
     assert verify_g_eps_lipschitz(Fx, collar, 2000, seed=5) <= 1.0 + 1e-9
 
 
@@ -182,6 +183,6 @@ def test_verify_lipschitz_recorded_value():
     # F = y1 + t x1: sampled maximum ratio observed near 1.4 (seeds 5..7);
     # recorded as a fixture band, not a proof
     collar = ParabolicCollar(interval(-1, 1), 0.1, 0.5)
-    F = BoundaryDatum("y+tx", lambda X, Y, t: Y[..., 0] + np.asarray(t) * X[..., 0], 3.0)
+    F = BoundaryDatum("y+tx", y_plus_tx_profile(1).fn)
     est = verify_g_eps_lipschitz(F, collar, 2000, seed=5)
     assert 0.5 < est < 3.0

@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from kplab.domains import BoundaryDatum, interval, Ball
+from kplab.domains import BoundaryDatum, Box, interval, Ball
 from kplab.game import (GameConfig, GameState, Strategy, step, run_episode,
                         estimate_value, pull_toward, stay_strategy, greedy_from_grid,
                         supermartingale_diagnostic, episode_rng, _uniform_ball)
+from kplab.operators import affine_profile, constant_profile, quadratic_profile, y_plus_tx_profile
 from kplab.quadrature import BallQuadrature
 from kplab.solver import SolveConfig, solve, time_ladder
 
 
 def datum_y_plus_tx():
-    return BoundaryDatum("y_plus_tx",
-                         lambda X, Y, t: Y[..., 0] + np.asarray(t) * X[..., 0], math.inf)
+    return BoundaryDatum("y_plus_tx", y_plus_tx_profile(1).fn)
 
 
 def datum_const(c):
-    return BoundaryDatum("const", lambda X, Y, t: np.full(np.shape(t), float(c)), abs(c))
+    return BoundaryDatum("const", constant_profile(c, 1).fn)
 
 
 def make_config(p=3.0, eps=0.2, seed=7, payoff=None, episodes=500):
@@ -144,18 +144,10 @@ def test_determinism_same_seed():
         assert ra[0] == rb[0] and np.array_equal(ra[1], rb[1]) and ra[4] == rb[4]
 
 
-def test_threaded_estimate_identical():
-    cfg = make_config(seed=5, episodes=400)
-    args = (cfg, ([0.2], [0.0], 0.4), stay_strategy(), stay_strategy())
-    m1 = estimate_value(*args, threads=1)
-    m4 = estimate_value(*args, threads=4)
-    assert m1 == m4
-
-
 def test_noise_is_strategy_free_mean(rng):
     # p = 2 pure noise with linear payoff over one round: mean is the start value
     cfg = make_config(p=2.0, eps=0.2, seed=11,
-                      payoff=BoundaryDatum("ax", lambda X, Y, t: 1.3 * X[..., 0], math.inf))
+                      payoff=BoundaryDatum("ax", affine_profile([1.3], 0.0, 1).fn))
     mean, se = estimate_value(cfg, ([0.1], [0.0], 0.015), stay_strategy(), stay_strategy(),
                               episodes=40_000)
     assert abs(mean - 1.3 * 0.1) <= 3 * se
@@ -164,8 +156,7 @@ def test_noise_is_strategy_free_mean(rng):
 def test_one_round_oracle_against_quadrature():
     eps = 0.3
     cfg = make_config(p=3.0, eps=eps, seed=21,
-                      payoff=BoundaryDatum("q", lambda X, Y, t: np.sum(X**2, axis=-1)
-                                           + np.asarray(t), math.inf))
+                      payoff=BoundaryDatum("q", quadratic_profile(3.0, 1).fn))  # |X|^2 + t
     start = ([0.2], [0.1], 0.04)  # eps^2/2 = 0.045, so N = 1
     sI = pull_toward([0.8], eps)
     sII = pull_toward([-0.5], eps)
@@ -188,13 +179,12 @@ def test_pull_toward_examples():
 
 
 def test_uniform_ball_methods_cover_ball(rng):
-    for method in ("polar", "rejection"):
-        for m in (1, 2):
-            pts = np.array([_uniform_ball(episode_rng(1, i), m, method) for i in range(500)])
-            r = np.linalg.norm(pts, axis=-1)
-            assert np.all(r < 1.0)
-            assert r.max() > 0.8  # actually fills the ball
-            assert abs(pts.mean()) < 0.1
+    for m in (1, 2):
+        pts = np.array([_uniform_ball(episode_rng(1, i), m) for i in range(500)])
+        r = np.linalg.norm(pts, axis=-1)
+        assert np.all(r < 1.0)
+        assert r.max() > 0.8  # actually fills the ball
+        assert abs(pts.mean()) < 0.1
 
 
 def _solved_grid(eps=0.2, p=3.0):
@@ -294,3 +284,29 @@ def test_supermartingale_adversarial_opponent():
     rep = supermartingale_diagnostic(cfg, ([0.5], [0.0], 0.3), Z=[0.0], episodes=3000,
                                      opponent=Strategy(push_away, "push"))
     assert rep.flags_x == []
+
+
+@pytest.fixture(scope="module")
+def grid_m2():
+    # one round (T = eps^2/2) on the square; h_y is not bound by eps/8
+    cfg = SolveConfig(domain=Box([-1, -1], [1, 1]), T=0.32, p=3.0, epsilon=0.8, h_y=0.4)
+    return solve(cfg, BoundaryDatum("y_plus_tx", y_plus_tx_profile(2).fn))
+
+
+def test_m2_solve_is_exact_on_y_plus_tx(grid_m2):
+    interior = grid_m2.interior_x_mask()
+    Xn, Yn = grid_m2.x_nodes()[interior], grid_m2.y_nodes()
+    i = grid_m2.slice_index(0.32)
+    vals = grid_m2.values[i].reshape(-1, len(Yn))[interior]
+    assert np.max(np.abs(vals - (Yn[None, :, 0] + 0.32 * Xn[:, None, 0]))) <= 1e-12
+
+
+def test_m2_greedy_game_matches_grid(grid_m2):
+    cfg = GameConfig(domain=grid_m2.domain, T=0.32, p=3.0, epsilon=0.8,
+                     payoff=grid_m2.boundary, seed=53)
+    start = ([0.3, -0.2], [0.1, 0.2], 0.32)
+    mean, se = estimate_value(cfg, start, greedy_from_grid(grid_m2, "maximize"),
+                              greedy_from_grid(grid_m2, "minimize"), episodes=2000)
+    gv = float(grid_m2.interpolate(np.array(start[0]), np.array(start[1]), start[2]))
+    assert gv == pytest.approx(0.1 + 0.32 * 0.3, abs=1e-12)
+    assert abs(mean - gv) <= 4 * se

@@ -209,8 +209,8 @@ def test_m2_limits_match_operator_oracle():
 def test_constant_shift_identity():
     phi = poly_mix_profile(1)
     shifted = poly_mix_profile(1)
-    base_value = shifted._value
-    shifted._value = lambda g: base_value(g) + 5.0
+    base_value = shifted.fn
+    shifted.fn = lambda X, Y, t: base_value(X, Y, t) + 5.0
     for v in ALL_V:
         a = mv_value(phi, G, 3.0, 0.1, v)
         b = mv_value(shifted, G, 3.0, 0.1, v)
@@ -220,8 +220,8 @@ def test_constant_shift_identity():
 def test_monotonicity():
     lo = trig_profile(1)
     hi = trig_profile(1)
-    base = hi._value
-    hi._value = lambda g: base(g) + 1e-3
+    base = hi.fn
+    hi.fn = lambda X, Y, t: base(X, Y, t) + 1e-3
     for v in ALL_V:
         assert mv_value(lo, G, 3.0, 0.1, v) <= mv_value(hi, G, 3.0, 0.1, v) + 1e-12
 

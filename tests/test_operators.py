@@ -45,7 +45,7 @@ def test_apply_K_examples():
     assert apply_K(y_plus_tx_profile(1), g) == pytest.approx(0.0, abs=1e-14)
     # pure drift: only x d_y survives
     ylin = SmoothProfile(
-        "y", lambda gg: gg.Y[..., 0],
+        "y", lambda X, Y, t: Y[..., 0],
         lambda gg: np.zeros(gg.batch_shape + (1,)),
         lambda gg: np.zeros(gg.batch_shape + (1, 1)),
         lambda gg: np.ones(gg.batch_shape + (1,)),
@@ -112,7 +112,7 @@ def test_viscosity_check_strict_supersolution():
     C = quadratic_time_coefficient(p, m) + 0.5
 
     prof = SmoothProfile(
-        "x2+Ct", lambda g: g.X[..., 0] ** 2 + C * np.asarray(g.t),
+        "x2+Ct", lambda X, Y, t: X[..., 0] ** 2 + C * t,
         lambda g: np.stack([2 * g.X[..., 0]], axis=-1),
         lambda g: np.full(g.batch_shape + (1, 1), 2.0),
         lambda g: np.zeros(g.batch_shape + (1,)),
@@ -128,7 +128,7 @@ def test_viscosity_check_fully_degenerate_point():
     # cubic at the origin: gradient and Hessian both vanish, the check
     # reduces to the sign of the drift-time combination
     cub = SmoothProfile(
-        "x3", lambda g: g.X[..., 0] ** 3,
+        "x3", lambda X, Y, t: X[..., 0] ** 3,
         lambda g: np.stack([3 * g.X[..., 0] ** 2], axis=-1),
         lambda g: (6 * g.X[..., 0])[..., None, None],
         lambda g: np.zeros(g.batch_shape + (1,)),
@@ -193,7 +193,7 @@ def test_dilation_homogeneity(rng):
 def test_finite_difference_matches_analytic_on_catalog():
     for m in (1, 2):
         for entry in catalog(m):
-            fd = SmoothProfile.from_value(entry.profile.name, entry.profile._value, fd_scale=1e-4)
+            fd = SmoothProfile.from_value(entry.profile.name, entry.profile.fn, fd_scale=1e-4)
             g = GroupPoint(np.full(m, 0.6), np.full(m, -0.4), 0.7)
             for p in entry.p_list((2.0, 3.0)):
                 a = float(apply_Kp(entry.profile, g, p))
@@ -208,14 +208,14 @@ def test_finite_difference_second_order():
     exact = float(apply_Kp(phi, g, 3.0))
     errs = []
     for scale in (2e-3, 1e-3):
-        fd = SmoothProfile.from_value("trig-fd", phi._value, fd_scale=scale)
+        fd = SmoothProfile.from_value("trig-fd", phi.fn, fd_scale=scale)
         errs.append(abs(float(apply_Kp(fd, g, 3.0)) - exact))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
 
 
 def test_fd_hessian_symmetric(rng):
-    phi = SmoothProfile.from_value("mix", poly_mix_profile(2)._value, fd_scale=1e-4)
+    phi = SmoothProfile.from_value("mix", poly_mix_profile(2).fn, fd_scale=1e-4)
     g = GroupPoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), 0.3)
     H = phi.hess_x(g)
     assert np.max(np.abs(H - np.swapaxes(H, -1, -2))) < 1e-12

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kplab.domains import BoundaryDatum, interval
 from kplab.geometry import GroupPoint
+from kplab.operators import affine_profile, constant_profile, y_plus_tx_profile
 from kplab.solver import (SolveConfig, ValueGrid, time_ladder, build_grid, apply_dpp,
                           solve, solve_iterative, fixed_point_residual, compare,
                           write_grid_binary, read_grid_binary, write_grid_csv,
@@ -13,12 +14,11 @@ from kplab.solver import (SolveConfig, ValueGrid, time_ladder, build_grid, apply
 
 
 def datum_y_plus_tx():
-    return BoundaryDatum("y_plus_tx",
-                         lambda X, Y, t: Y[..., 0] + np.asarray(t) * X[..., 0], math.inf)
+    return BoundaryDatum("y_plus_tx", y_plus_tx_profile(1).fn)
 
 
 def datum_const(c):
-    return BoundaryDatum("const", lambda X, Y, t: np.full(np.shape(t), float(c)), abs(c))
+    return BoundaryDatum("const", constant_profile(c, 1).fn)
 
 
 def small_config(eps=0.3, T=0.2, p=3.0):
@@ -106,7 +106,7 @@ def test_affine_fixed_point_small():
 def test_velocity_linear_datum_is_fixed_point():
     # data a.X with no position or time dependence: the extremum pair cancels
     # the excursion and odd moments vanish, so the solution stays a.X
-    F = BoundaryDatum("ax", lambda X, Y, t: 1.7 * X[..., 0], math.inf)
+    F = BoundaryDatum("ax", affine_profile([1.7], 0.0, 1).fn)
     grid = solve(small_config(), F)
     Xn = grid.x_nodes()
     for i in range(len(grid.t_slices)):
@@ -116,7 +116,7 @@ def test_velocity_linear_datum_is_fixed_point():
 
 def test_collar_nodes_store_datum_bitwise():
     F = BoundaryDatum("wavy", lambda X, Y, t: np.sin(2 * X[..., 0]) * np.cos(Y[..., 0])
-                      + 0.2 * np.asarray(t), math.inf)
+                      + 0.2 * np.asarray(t))
     grid = solve(small_config(), F)
     Xn, Yn = grid.x_nodes(), grid.y_nodes()
     collar = ~grid.interior_x_mask()
@@ -135,18 +135,17 @@ def test_collar_nodes_store_datum_bitwise():
 def test_constant_shift_identity():
     cfg = small_config()
     base = solve(cfg, datum_y_plus_tx())
-    shifted = solve(cfg, BoundaryDatum(
-        "y_plus_tx+c", lambda X, Y, t: Y[..., 0] + np.asarray(t) * X[..., 0] + 0.7, math.inf))
+    yptx = y_plus_tx_profile(1).fn
+    shifted = solve(cfg, BoundaryDatum("y_plus_tx+c", lambda X, Y, t: yptx(X, Y, t) + 0.7))
     assert np.max(np.abs(shifted.values - base.values - 0.7)) < 1e-12
 
 
 def test_monotonicity_of_operator():
     cfg = small_config()
     lo = solve(cfg, datum_y_plus_tx())
+    yptx = y_plus_tx_profile(1).fn
     hi = solve(cfg, BoundaryDatum(
-        "y_plus_tx+bump",
-        lambda X, Y, t: Y[..., 0] + np.asarray(t) * X[..., 0] + 0.1 * (1 + np.cos(X[..., 0])),
-        math.inf))
+        "y_plus_tx+bump", lambda X, Y, t: yptx(X, Y, t) + 0.1 * (1 + np.cos(X[..., 0]))))
     r = compare(hi, lo)
     assert r.dominates
 
@@ -174,7 +173,7 @@ def test_fixed_point_residual_structural():
 
 def test_fixed_point_residual_random_lipschitz(rng):
     F = BoundaryDatum("rand", lambda X, Y, t: 0.3 * X[..., 0] - 0.2 * Y[..., 0]
-                      + 0.1 * np.asarray(t) + 0.05 * np.sin(3 * X[..., 0]), math.inf)
+                      + 0.1 * np.asarray(t) + 0.05 * np.sin(3 * X[..., 0]))
     grid = solve(small_config(), F)
     assert fixed_point_residual(grid) <= 1e-12
 
@@ -202,13 +201,27 @@ def test_insufficient_sweeps_leave_top_slice_unconverged():
 def test_bound_preservation():
     cfg = small_config()
     F = BoundaryDatum("wavy", lambda X, Y, t: np.sin(2 * X[..., 0]) * np.cos(Y[..., 0])
-                      + 0.2 * np.asarray(t), math.inf)
+                      + 0.2 * np.asarray(t))
     grid = solve(cfg, F)
     # every slice value is a convex combination of datum evaluations, so the
     # exact global range of F over reachable times bounds the grid
     t_lo, t_hi = float(grid.t_slices[0]), cfg.T
     assert grid.values.min() >= -1.0 + 0.2 * t_lo - 1e-12
     assert grid.values.max() <= 1.0 + 0.2 * t_hi + 1e-12
+
+
+def test_non_finite_slice_raises_with_witness():
+    F = BoundaryDatum("nan-right", lambda X, Y, t: np.where(X[..., 0] > 0.5, np.nan, Y[..., 0]))
+    for run in (build_grid, solve):
+        with pytest.raises(ValueError, match=r"slice 0 .* holds nan at node X=\[0\.5"):
+            run(small_config(), F)
+    # finite on every node, NaN only past the top of the position box: the
+    # margin-strip queries of the first update slice read it
+    top = build_grid(small_config(), datum_const(0.0)).y_axes[0].top
+    F = BoundaryDatum("nan-above", lambda X, Y, t: np.where(Y[..., 0] > top + 1e-9, np.nan, 0.0))
+    build_grid(small_config(), F)
+    with pytest.raises(ValueError, match=r"slice 1 "):
+        solve(small_config(), F)
 
 
 def test_interpolation_queries():
