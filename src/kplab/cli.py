@@ -22,12 +22,13 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigError, ExperimentConfig, checked
 from .domains import BoundaryDatum, mcshane_extend
+from .dpp import node_lattice
 from .game import (GameConfig, Strategy, estimate_value, greedy_from_grid,
                    pull_toward, run_episode, episode_rng, stay_strategy)
-from .geometry import GroupPoint, point
+from .geometry import point
 from .meanvalue import BallQuadrature, mv_limit_estimate, variant_from
 from .operators import apply_Kp, is_inf, profile_by_name
-from .solver import SolveConfig, solve, write_grid_binary, write_grid_csv
+from .solver import GridTooLarge, SolveConfig, solve, write_grid_binary, write_grid_csv
 
 
 NAMED_BOUNDARIES = ("const", "linear", "y_plus_tx", "quadratic_p")
@@ -138,20 +139,21 @@ def _solve_from_config(cfg: ExperimentConfig, eps=None, h=None):
         y_seed_lo=lo, y_seed_hi=hi,
     )
     F = build_boundary(cfg, sv["p"])
-    return solve(sc, F), sc
+    try:
+        return solve(sc, F), sc
+    except GridTooLarge as e:
+        raise ConfigError(str(e)) from e
 
 
 def _grid_error_vs_profile(grid, phi, interior_only=True):
-    Xn, Yn = grid.x_nodes(), grid.y_nodes()
+    Xb, Yb = node_lattice(grid)
     mask = grid.interior_x_mask()
     worst = 0.0
     for i, t in enumerate(grid.t_slices):
         if t <= 0:
             continue
-        flat = grid.values[i].reshape(len(Xn), len(Yn))
-        Xb = np.repeat(Xn, len(Yn), axis=0)
-        Yb = np.tile(Yn, (len(Xn), 1))
-        exact = phi.value(GroupPoint(Xb, Yb, np.full(len(Xb), float(t)))).reshape(len(Xn), len(Yn))
+        flat = grid.values[i].reshape(len(mask), -1)
+        exact = np.asarray(phi.fn(Xb, Yb, np.full(len(Xb), float(t))), float).reshape(flat.shape)
         diff = np.abs(flat - exact)
         if interior_only:
             diff = diff[mask]
@@ -241,15 +243,15 @@ def run_sweep(cfg: ExperimentConfig, out: Path) -> int:
         xs = np.linspace(comp[0], comp[1], n_eval)
         ys = np.linspace(comp[2], comp[3], n_eval)
         tlo, thi = comp[4], comp[5]
+        XX, YY = np.meshgrid(xs, ys, indexing="ij")
+        Xq = XX.ravel()[:, None]
+        Yq = YY.ravel()[:, None]
         worst = 0.0
         for i, t in enumerate(grid.t_slices):
             if not (tlo <= t <= thi):
                 continue
-            XX, YY = np.meshgrid(xs, ys, indexing="ij")
-            Xq = XX.ravel()[:, None]
-            Yq = YY.ravel()[:, None]
             approx = grid.interpolate_slice(i, Xq, Yq)
-            exact = phi.value(GroupPoint(Xq, Yq, np.full(len(Xq), float(t))))
+            exact = np.asarray(phi.fn(Xq, Yq, np.full(len(Xq), float(t))), float)
             worst = max(worst, float(np.max(np.abs(approx - exact))))
         errors.append(worst)
         rows.append({"epsilon": repr(eps), "h": repr(grid.h_x), "sup_error": repr(worst)})

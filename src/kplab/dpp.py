@@ -1,0 +1,205 @@
+"""The DPP solver's fixed-point operator, planned once per grid (DppPlan,
+apply_dpp), and the multilinear corner gather and blend that it shares with
+kplab.solver's interpolation of grid values.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .operators import coin_weights
+
+
+def locate(u: np.ndarray, ax, i: np.ndarray):
+    """Locate scaled coordinates u = (q - origin) / spacing on axis ax, in place.
+
+    ax is a uniform axis (origin, spacing, n nodes); u is clamped to the axis, i receives each query's cell (its lower node
+    index, at most n - 2) and u becomes the fraction within that cell.
+    """
+    np.clip(u, 0.0, ax.n - 1, out=u)
+    np.copyto(i, u, casting="unsafe")
+    np.minimum(i, ax.n - 2, out=i)
+    np.subtract(u, i, out=u)
+
+
+def corner_offsets(axes):
+    """Flat strides of a C-order tensor over ``axes`` and the flat offset of
+    each of its 2^k cell corners (bit a of the corner number steps axis a)."""
+    strides = [math.prod(ax.n for ax in axes[a + 1:]) for a in range(len(axes))]
+    offsets = [sum(s for a, s in enumerate(strides) if (c >> a) & 1) for c in range(1 << len(axes))]
+    return strides, offsets
+
+
+def gather_blend(src: np.ndarray, base: np.ndarray, offsets, fracs, corners) -> np.ndarray:
+    """Multilinear values from the corners of the cells whose lowest corners
+    sit at the flat indices ``base`` of the flat array ``src``.
+
+    Corner c is gathered into the buffer ``corners[c]``; then the corners are
+    blended one axis at a time, last axis first, in difference form
+    lo + f (hi - lo), which reproduces constant fields bit-exactly.  Every
+    index is in range (cells come from locate), so mode="wrap" never wraps; it
+    only lets np.take write into ``out`` unbuffered.  Returns corners[0].
+    """
+    for c, off in zip(corners, offsets):
+        np.take(src[off:], base, out=c, mode="wrap")
+    for a in range(len(fracs) - 1, -1, -1):
+        half = 1 << a
+        for lo, hi in zip(corners[:half], corners[half:2 * half]):
+            np.subtract(hi, lo, out=hi)
+            np.multiply(fracs[a], hi, out=hi)
+            np.add(lo, hi, out=lo)
+    return corners[0]
+
+
+def node_lattice(grid):
+    """Every (x node, y node) pair of the grid in C order, as two (n_x * n_y, m)
+    arrays Xb and Yb; a slice reshaped to (n_x, n_y) lines up with them."""
+    Xn, Yn = grid.x_nodes(), grid.y_nodes()
+    return np.repeat(Xn, len(Yn), axis=0), np.tile(Yn, (len(Xn), 1))
+
+
+def plan_bytes(m: int, n_x: int, n_y: int, n_ball: int) -> int:
+    """Upper bound on the bytes a DppPlan holds, counting every x node as
+    interior: the node lattice, the (x, y) buffers, the datum mask and the
+    per-ball-point arrays.  Keep in step with DppPlan."""
+    buffers = (1 << 2 * m) + 2 * m + 3      # corners, per-y-axis fraction and index, max/min/sum
+    return n_x * n_y * (8 * (2 * m + buffers) + 1) + 8 * n_ball * n_x * (3 * m + 2)
+
+
+class DppPlan:
+    """The slice-independent part of apply_dpp for one grid geometry.
+
+    Which source points a slice reads, (Xs, Y + eps^2 Xs / 2) at the previous
+    slice time, depends only on the grid and the ball point, never on the
+    slice: the velocities Xs, the position drift, the x cells and fractions,
+    and which queries fall back to the datum.  The plan computes these once,
+    per ball point along the first axis of its arrays, holds the node lattice
+    for the collar datum, and owns the (interior x nodes, y nodes) buffers
+    that every slice reuses, so one plan serves one apply_dpp call at a time.
+    The y cells depend on the y node as well as the ball point; they are
+    recomputed per slice into the buffers rather than stored for every ball
+    point.  The arithmetic and its order are those of a fresh per-call
+    computation, so the grids are bit-identical either way.
+    """
+
+    def __init__(self, grid):
+        m, eps = grid.m, grid.epsilon
+        self.lattice = node_lattice(grid)
+        self.interior = grid.interior_x_mask()
+        Xi = grid.x_nodes()[self.interior]
+        self.Yn = grid.y_nodes()
+        ni, ny = len(Xi), len(self.Yn)
+        self.y_cols = [np.ascontiguousarray(self.Yn[:, d]) for d in range(m)]
+        strides, self.offsets = corner_offsets(grid.x_axes + grid.y_axes)
+        shape = (ni, ny)
+        self.corners = [np.empty(shape) for _ in self.offsets]
+        self.fy = [np.empty(shape) for _ in range(m)]
+        self.iy = [np.empty(shape, np.int64) for _ in range(m)]
+        self.mx, self.mn, self.acc = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.datum = np.empty(shape, bool)
+
+        self.weights = grid.ball_weights
+        self.Xs = Xi[None, :, :] + (eps * grid.ball_offsets)[:, None, :]
+        self.drift = (eps**2 / 2) * self.Xs
+        self.x_base = np.zeros(self.Xs.shape[:2] + (1,), np.int64)
+        self.fx = []
+        for d, ax in enumerate(grid.x_axes):
+            u = (self.Xs[:, :, d:d + 1] - ax.origin) / ax.spacing
+            i0 = np.empty(u.shape, np.int64)
+            locate(u, ax, i0)
+            self.x_base += i0 * strides[d]
+            self.fx.append(u)
+        # a lateral-collar velocity sends its whole row to the datum; the other
+        # rows do so only where the position query leaves the box
+        self.lateral = grid.domain.signed_distance(self.Xs) >= 0
+        y_lo = [ax.origin for ax in grid.y_axes]
+        y_hi = [ax.top for ax in grid.y_axes]
+        y_tol = [1e-12 * max(hi - lo, 1.0) for lo, hi in zip(y_lo, y_hi)]
+        self.margin = []
+        outside, Yq = self.datum, self.fy[0]
+        for drift, lateral in zip(self.drift, self.lateral):
+            outside.fill(False)
+            for d in range(m):
+                np.add(self.y_cols[d], drift[:, d:d + 1], out=Yq)
+                outside |= (Yq < y_lo[d] - y_tol[d]) | (Yq > y_hi[d] + y_tol[d])
+            outside[lateral] = False
+            self.margin.append(np.flatnonzero(outside))
+
+    def interpolate(self, grid, src: np.ndarray, k: int) -> np.ndarray:
+        """Source slice values at (Xs, Yn + drift) of ball point k for every
+        interior x and y node."""
+        for d, ax in enumerate(grid.y_axes):
+            u = self.fy[d]
+            np.add(self.y_cols[d], self.drift[k, :, d:d + 1], out=u)
+            np.subtract(u, ax.origin, out=u)
+            np.divide(u, ax.spacing, out=u)
+            locate(u, ax, self.iy[d])
+        base = self.iy[0]
+        for d in range(1, grid.m):
+            np.multiply(base, grid.y_axes[d].n, out=base)
+            np.add(base, self.iy[d], out=base)
+        np.add(base, self.x_base[k], out=base)
+        return gather_blend(src, base, self.offsets, [f[k] for f in self.fx] + self.fy, self.corners)
+
+    def datum_fallback(self, grid, vals: np.ndarray, k: int, t_src: float):
+        """Overwrite the lateral-collar and off-box queries of ball point k in
+        vals with the datum."""
+        lateral, margin = self.lateral[k], self.margin[k]
+        if not (lateral.any() or margin.size):
+            return
+        np.copyto(self.datum, lateral[:, None])
+        self.datum.reshape(-1)[margin] = True
+        lanes = np.flatnonzero(self.datum)
+        rows, cols = np.divmod(lanes, self.datum.shape[1])
+        vals.reshape(-1)[lanes] = grid.boundary(
+            self.Xs[k][rows], self.Yn[cols] + self.drift[k][rows], np.full(len(lanes), t_src))
+
+
+def apply_dpp(grid, source_index: int, t_target: float,
+              plan: DppPlan | None = None) -> np.ndarray:
+    """One application of the fixed-point operator producing the slice at t_target.
+
+    Interior target nodes combine the max, min and weighted average of the
+    source values at (Xs, Y + eps^2 Xs/2) over the shared ball point set;
+    collar targets copy the boundary datum.  Queries at source positions in
+    the collar, or at source times <= 0, evaluate the datum in closed form;
+    so do position queries that step past the edge of the position box, which
+    can only happen in the outer margin strip (the drift margin keeps the
+    cone of dependence of the seed region strictly inside the box).  Deferring
+    to the datum there keeps the whole operator monotone in (source, datum)
+    jointly, so the discrete comparison principle survives the truncation.
+
+    ``plan`` is the grid's DppPlan; callers that apply the operator to many
+    slices build it once, and a call without one builds its own.
+    """
+    if plan is None:
+        plan = DppPlan(grid)
+    eps = grid.epsilon
+    alpha, beta = coin_weights(grid.p, grid.m)
+    t_src = t_target - eps**2 / 2
+    src = grid.values[source_index].reshape(-1)
+    mx, mn, acc = plan.mx, plan.mn, plan.acc
+    mx.fill(-np.inf)
+    mn.fill(np.inf)
+    acc.fill(0.0)
+    ni, ny = mx.shape
+    for k, w in enumerate(plan.weights):
+        if t_src <= 0:
+            Yq = plan.Yn[None, :, :] + plan.drift[k][:, None, :]
+            Xq = np.broadcast_to(plan.Xs[k][:, None, :], (ni, ny, grid.m))
+            vals = grid.boundary(Xq, Yq, np.full((ni, ny), t_src))
+        else:
+            vals = plan.interpolate(grid, src, k)
+            plan.datum_fallback(grid, vals, k, t_src)
+        np.maximum(mx, vals, out=mx)
+        np.minimum(mn, vals, out=mn)
+        if w != 0.0:
+            wv = plan.corners[-1]   # free once the corners are blended into vals
+            np.multiply(w, vals, out=wv)
+            np.add(acc, wv, out=acc)
+    Xb, Yb = plan.lattice
+    out = grid.boundary(Xb, Yb, np.full(len(Xb), t_target)).reshape(len(plan.interior), ny)
+    out[plan.interior] = alpha / 2 * (mx + mn) + beta * acc
+    return out.reshape(grid.values.shape[1:])

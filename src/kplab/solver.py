@@ -16,19 +16,26 @@ Collar and initial-slab values are evaluated from the boundary datum in
 closed form at query points rather than interpolated, so the collar is exact
 by construction.  The ball extremum and average use one fixed deterministic
 point set shared with the game engine's greedy strategies.
+
+The operator itself, planned once per grid, lives in kplab.dpp.  build_grid
+refuses, with GridTooLarge, a grid whose values and plan would not fit in
+physical memory, before allocating it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .domains import BoundaryDatum, SpatialDomain, velocity_bound
-from .operators import coin_weights, is_inf
+from .dpp import (DppPlan, apply_dpp, corner_offsets, gather_blend, locate, node_lattice,
+                  plan_bytes)
+from .operators import is_inf
 from .quadrature import shared_ball_points
 
 
@@ -127,31 +134,24 @@ def _multilinear(values: np.ndarray, axes: Sequence[Axis], coords: Sequence[np.n
     InterpolationRangeError; with clamp=True it is clamped to the edge, which
     the solver uses internally (see apply_dpp notes).
     """
-    k = len(axes)
-    idx0 = []
+    strides, offsets = corner_offsets(axes)
+    base = 0
     fracs = []
     for a, (ax, q) in enumerate(zip(axes, coords)):
-        u = (np.asarray(q, float) - ax.origin) / ax.spacing
+        u = np.asarray((np.asarray(q, float) - ax.origin) / ax.spacing)
         if not clamp:
             tol = 1e-9 * max(ax.n - 1, 1)
             bad = (u < -tol) | (u > ax.n - 1 + tol)
             if np.any(bad):
                 v = np.asarray(q, float)[bad].ravel()[0]
                 raise InterpolationRangeError(a, float(v), ax.origin, ax.top)
-        u = np.clip(u, 0.0, ax.n - 1)
-        i0 = np.minimum(u.astype(np.int64), ax.n - 2)
-        idx0.append(i0)
-        fracs.append(u - i0)
-    # gather the 2^k corners, then blend one axis at a time in difference form
-    # a + f (b - a), which reproduces constant fields bit-exactly
-    corners = []
-    for corner in range(1 << k):
-        ind = tuple(idx0[a] + ((corner >> a) & 1) for a in range(k))
-        corners.append(values[ind])
-    for a in range(k - 1, -1, -1):
-        f = fracs[a]
-        corners = [lo + f * (hi - lo) for lo, hi in zip(corners[: 1 << a], corners[1 << a:])]
-    return corners[0]
+        i0 = np.empty(u.shape, np.int64)
+        locate(u, ax, i0)
+        base = base + i0 * strides[a]
+        fracs.append(u)
+    base = np.asarray(base)
+    corners = [np.empty(base.shape) for _ in offsets]
+    return gather_blend(values.reshape(-1), base, offsets, fracs, corners)
 
 
 @dataclass
@@ -240,15 +240,16 @@ class ValueGrid:
         return np.asarray(out, float)
 
 
-def _boundary_on_nodes(F: BoundaryDatum, Xn: np.ndarray, Yn: np.ndarray, t: float) -> np.ndarray:
-    nx, ny = len(Xn), len(Yn)
-    Xb = np.repeat(Xn, ny, axis=0)
-    Yb = np.tile(Yn, (nx, 1))
-    return F(Xb, Yb, np.full(nx * ny, t)).reshape(nx, ny)
+class GridTooLarge(ValueError):
+    """The grid's values and the solver's working set exceed physical memory."""
 
 
 def build_grid(config: SolveConfig, F: BoundaryDatum) -> ValueGrid:
-    """Allocate the grid geometry; every slice starts as the boundary datum."""
+    """Allocate the grid geometry; every slice starts as the boundary datum.
+
+    Raises GridTooLarge, before allocating anything of the grid's size, when
+    the values and the solver's working set would not fit in physical memory.
+    """
     m = config.domain.m
     lo, hi = config.domain.bounding_box()
     eps = config.epsilon
@@ -263,15 +264,24 @@ def build_grid(config: SolveConfig, F: BoundaryDatum) -> ValueGrid:
     offs, wts = shared_ball_points(m)
     x_shape = tuple(ax.n for ax in x_axes)
     y_shape = tuple(ax.n for ax in y_axes)
+    n_x, n_y = math.prod(x_shape), math.prod(y_shape)
+    need = 8 * (N + 1) * n_x * n_y + plan_bytes(m, n_x, n_y, len(offs))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise GridTooLarge(
+            f"grid of {n_x} x nodes {x_shape} by {n_y} y nodes {y_shape} by {N + 1} slices "
+            f"needs {need} bytes ({need / 2**30:.1f} GiB) with the solver's working set, "
+            f"more than the {have} bytes of physical memory; raise h_x, h_y or epsilon, "
+            "or shrink T, the domain or the y seed region")
     values = np.empty((N + 1,) + x_shape + y_shape)
     grid = ValueGrid(
         m=m, p=config.p, epsilon=eps, x_axes=x_axes, y_axes=y_axes,
         t_slices=t_slices, values=values, domain=config.domain, boundary=F,
         ball_offsets=offs, ball_weights=wts,
     )
-    Xn, Yn = grid.x_nodes(), grid.y_nodes()
+    Xb, Yb = node_lattice(grid)
     for i, t in enumerate(t_slices):
-        values[i] = _boundary_on_nodes(F, Xn, Yn, float(t)).reshape(x_shape + y_shape)
+        values[i] = F(Xb, Yb, np.full(len(Xb), float(t))).reshape(x_shape + y_shape)
         _require_finite(grid, i)
     return grid
 
@@ -288,76 +298,15 @@ def _require_finite(grid: ValueGrid, i: int):
         f"X={at[:grid.m]}, Y={at[grid.m:]}; the boundary datum must be finite")
 
 
-def apply_dpp(grid: ValueGrid, source_index: int, t_target: float) -> np.ndarray:
-    """One application of the fixed-point operator producing the slice at t_target.
-
-    Interior target nodes combine the max, min and weighted average of the
-    source values at (Xs, Y + eps^2 Xs/2) over the shared ball point set;
-    collar targets copy the boundary datum.  Queries at source positions in
-    the collar, or at source times <= 0, evaluate the datum in closed form;
-    so do position queries that step past the edge of the position box, which
-    can only happen in the outer margin strip (the drift margin keeps the
-    cone of dependence of the seed region strictly inside the box).  Deferring
-    to the datum there keeps the whole operator monotone in (source, datum)
-    jointly, so the discrete comparison principle survives the truncation.
-    """
-    eps = grid.epsilon
-    alpha, beta = coin_weights(grid.p, grid.m)
-    t_src = t_target - eps**2 / 2
-    Xn = grid.x_nodes()
-    Yn = grid.y_nodes()
-    interior = grid.interior_x_mask()
-    Xi = Xn[interior]                      # (ni, m)
-    ni, ny = len(Xi), len(Yn)
-
-    src = grid.values[source_index] if t_src > 0 else None
-
-    def src_interp(Xq, Yq):
-        return _multilinear(
-            src, grid.x_axes + grid.y_axes,
-            [Xq[..., d] for d in range(grid.m)] + [Yq[..., d] for d in range(grid.m)],
-            clamp=True,
-        )
-
-    y_lo = np.array([ax.origin for ax in grid.y_axes])
-    y_hi = np.array([ax.top for ax in grid.y_axes])
-    y_tol = 1e-12 * np.maximum(y_hi - y_lo, 1.0)
-
-    mx = np.full((ni, ny), -np.inf)
-    mn = np.full((ni, ny), np.inf)
-    acc = np.zeros((ni, ny))
-    for off, w in zip(grid.ball_offsets, grid.ball_weights):
-        Xs = Xi + eps * off                # (ni, m)
-        Yq = Yn[None, :, :] + (eps**2 / 2) * Xs[:, None, :]   # (ni, ny, m)
-        Xq = np.broadcast_to(Xs[:, None, :], (ni, ny, grid.m))
-        if t_src <= 0:
-            vals = grid.boundary(Xq, Yq, np.full((ni, ny), t_src))
-        else:
-            vals = np.asarray(src_interp(Xq, Yq))
-            datum = grid.domain.signed_distance(Xs)[:, None] >= 0          # lateral collar
-            datum = datum | np.any((Yq < y_lo - y_tol) | (Yq > y_hi + y_tol), axis=-1)
-            if np.any(datum):
-                vals[datum] = grid.boundary(
-                    Xq[datum], Yq[datum], np.full(int(np.count_nonzero(datum)), t_src)
-                )
-        np.maximum(mx, vals, out=mx)
-        np.minimum(mn, vals, out=mn)
-        if w != 0.0:
-            acc += w * vals
-
-    out = _boundary_on_nodes(grid.boundary, Xn, Yn, t_target)
-    out[interior] = alpha / 2 * (mx + mn) + beta * acc
-    return out.reshape(grid.values.shape[1:])
-
-
 def solve(config: SolveConfig, F: BoundaryDatum) -> ValueGrid:
     """March the fixed-point operator once per slice from the initial slab up to T."""
     grid = build_grid(config, F)
+    plan = DppPlan(grid)
     for i in range(1, len(grid.t_slices)):
         t = float(grid.t_slices[i])
         if t <= 0:
             continue  # still in the initial slab; datum already in place
-        grid.values[i] = apply_dpp(grid, i - 1, t)
+        grid.values[i] = apply_dpp(grid, i - 1, t, plan)
         _require_finite(grid, i)
     return grid
 
@@ -370,6 +319,7 @@ def solve_iterative(config: SolveConfig, F: BoundaryDatum, init, sweeps: int | N
     regardless of the initialization.
     """
     grid = build_grid(config, F)
+    plan = DppPlan(grid)
     interior = grid.interior_x_mask().reshape(grid.x_shape + (1,) * len(grid.y_shape))
     interior = np.broadcast_to(interior, grid.values.shape[1:])
     for i, t in enumerate(grid.t_slices):
@@ -383,20 +333,21 @@ def solve_iterative(config: SolveConfig, F: BoundaryDatum, init, sweeps: int | N
         for i in range(1, len(grid.t_slices)):
             t = float(grid.t_slices[i])
             if t > 0:
-                new[i] = apply_dpp(grid, i - 1, t)
+                new[i] = apply_dpp(grid, i - 1, t, plan)
         grid.values = new
     return grid
 
 
 def fixed_point_residual(grid: ValueGrid) -> float:
     """Max over interior nodes of |T(slice below) - stored slice|."""
+    plan = DppPlan(grid)
     interior = grid.interior_x_mask().reshape(grid.x_shape + (1,) * len(grid.y_shape))
     worst = 0.0
     for i in range(1, len(grid.t_slices)):
         t = float(grid.t_slices[i])
         if t <= 0:
             continue
-        recomputed = apply_dpp(grid, i - 1, t)
+        recomputed = apply_dpp(grid, i - 1, t, plan)
         diff = np.abs(recomputed - grid.values[i])
         worst = max(worst, float(np.max(np.where(interior, diff, 0.0))))
     return worst

@@ -146,7 +146,9 @@ def test_exit_code_2_on_bad_solve_value(tmp_path, line):
     "[experiment]\ncommand = play\nseed = 1\n[play]\nepisodes = 1\n",
     "[experiment]\ncommand = solve\n[domain]\nm = 2\nshape = box\nlo = -1 -1\nhi = 1 1\n"
     "[boundary]\nname = linear\na = 2\n",
-], ids=["ladder", "variant", "episodes", "boundary-a-length"])
+    "[experiment]\ncommand = solve\n[domain]\nm = 2\nshape = box\nlo = -1 -1\nhi = 1 1\n"
+    "[solve]\nepsilon = 0.1\nt_horizon = 0.5\n",
+], ids=["ladder", "variant", "episodes", "boundary-a-length", "grid-beyond-memory"])
 def test_exit_code_2_on_value_checked_during_run(tmp_path, text):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)

@@ -1,16 +1,22 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kplab.domains import BoundaryDatum, interval
-from kplab.geometry import GroupPoint
-from kplab.operators import affine_profile, constant_profile, y_plus_tx_profile
+import kplab
+from kplab.domains import Ball, BoundaryDatum, Box, interval, mcshane_extend
+from kplab.geometry import GroupPoint, point
+from kplab.operators import affine_profile, coin_weights, constant_profile, y_plus_tx_profile
 from kplab.solver import (SolveConfig, ValueGrid, time_ladder, build_grid, apply_dpp,
                           solve, solve_iterative, fixed_point_residual, compare,
                           write_grid_binary, read_grid_binary, write_grid_csv,
-                          InterpolationRangeError)
+                          GridTooLarge, InterpolationRangeError)
 
 
 def datum_y_plus_tx():
@@ -265,3 +271,151 @@ def test_csv_dump(tmp_path):
     assert len(lines) == n_nodes + 1
     assert lines[0] == "x1,y1,t,value"
     assert lines[1].endswith("1.0")
+
+
+def reference_apply_dpp(grid, source_index, t_target):
+    """The operator computed afresh for every ball point, with a fancy-index
+    corner gather: the arithmetic that the solver's plan reproduces bit for bit."""
+    eps, m = grid.epsilon, grid.m
+    alpha, beta = coin_weights(grid.p, m)
+    t_src = t_target - eps**2 / 2
+    Xn, Yn = grid.x_nodes(), grid.y_nodes()
+    interior = grid.interior_x_mask()
+    Xi = Xn[interior]
+    ni, ny = len(Xi), len(Yn)
+    axes = grid.x_axes + grid.y_axes
+    y_lo = np.array([ax.origin for ax in grid.y_axes])
+    y_hi = np.array([ax.top for ax in grid.y_axes])
+    y_tol = 1e-12 * np.maximum(y_hi - y_lo, 1.0)
+
+    def interp(Xq, Yq):
+        idx0, fracs = [], []
+        for ax, q in zip(axes, [Xq[..., d] for d in range(m)] + [Yq[..., d] for d in range(m)]):
+            u = np.clip((q - ax.origin) / ax.spacing, 0.0, ax.n - 1)
+            i0 = np.minimum(u.astype(np.int64), ax.n - 2)
+            idx0.append(i0)
+            fracs.append(u - i0)
+        k = len(axes)
+        corners = [grid.values[source_index][tuple(idx0[a] + ((c >> a) & 1) for a in range(k))]
+                   for c in range(1 << k)]
+        for a in range(k - 1, -1, -1):
+            corners = [lo + fracs[a] * (hi - lo) for lo, hi in zip(corners[:1 << a], corners[1 << a:])]
+        return corners[0]
+
+    mx = np.full((ni, ny), -np.inf)
+    mn = np.full((ni, ny), np.inf)
+    acc = np.zeros((ni, ny))
+    for off, w in zip(grid.ball_offsets, grid.ball_weights):
+        Xs = Xi + eps * off
+        Yq = Yn[None, :, :] + (eps**2 / 2) * Xs[:, None, :]
+        Xq = np.broadcast_to(Xs[:, None, :], (ni, ny, m))
+        if t_src <= 0:
+            vals = grid.boundary(Xq, Yq, np.full((ni, ny), t_src))
+        else:
+            vals = interp(Xq, Yq)
+            datum = grid.domain.signed_distance(Xs)[:, None] >= 0
+            datum = datum | np.any((Yq < y_lo - y_tol) | (Yq > y_hi + y_tol), axis=-1)
+            if np.any(datum):
+                vals[datum] = grid.boundary(Xq[datum], Yq[datum],
+                                            np.full(int(np.count_nonzero(datum)), t_src))
+        np.maximum(mx, vals, out=mx)
+        np.minimum(mn, vals, out=mn)
+        if w != 0.0:
+            acc += w * vals
+    out = grid.boundary(np.repeat(Xn, ny, axis=0), np.tile(Yn, (len(Xn), 1)),
+                        np.full(len(Xn) * ny, t_target)).reshape(len(Xn), ny)
+    out[interior] = alpha / 2 * (mx + mn) + beta * acc
+    return out.reshape(grid.values.shape[1:])
+
+
+def wavy_m1(X, Y, t):
+    return np.sin(3 * Y[..., 0]) + np.cos(2 * X[..., 0]) * t + X[..., 0] ** 2
+
+
+def wavy_m2(X, Y, t):
+    return np.sin(2 * Y[..., 0]) + X[..., 0] ** 2 - X[..., 1] * Y[..., 1] + t
+
+
+def lipschitz_table_m1():
+    rng = np.random.default_rng(5)
+    return mcshane_extend([(point([x], [y], t), float(np.sin(x + y) + t))
+                           for x, y, t in rng.uniform(-1, 1, (30, 3))], 20.0)
+
+
+@pytest.mark.parametrize("domain, p, eps, T, h_y, seed, datum", [
+    (interval(-1, 1), 3.0, 0.2, 0.3, None, [-0.3, 0.3], wavy_m1),
+    (interval(-0.5, 1), math.inf, 0.25, 0.4, None, [0.0, 0.2], wavy_m1),
+    (interval(-1, 1), 4.0, 0.3, 0.3, None, [-0.3, 0.3], "table"),
+    (Ball([0.0, 0.1], 0.5), 4.0, 0.8, 0.64, 0.6, [-0.2, -0.3, 0.3, 0.2], wavy_m2),
+], ids=["m1-box-p3", "m1-shifted-inf", "m1-table-p4", "m2-ball-p4"])
+def test_planned_operator_matches_reference_bitwise(domain, p, eps, T, h_y, seed, datum):
+    m = domain.m
+    F = lipschitz_table_m1() if datum == "table" else BoundaryDatum("wavy", datum)
+    cfg = SolveConfig(domain=domain, T=T, p=p, epsilon=eps, h_y=h_y,
+                      y_seed_lo=seed[:m], y_seed_hi=seed[m:])
+    grid = solve(cfg, F)
+    for i in range(1, len(grid.t_slices)):
+        t = float(grid.t_slices[i])
+        if t > 0:
+            assert np.array_equal(grid.values[i], reference_apply_dpp(grid, i - 1, t))
+    assert np.array_equal(apply_dpp(grid, len(grid.t_slices) - 2, t), grid.values[-1])
+
+
+# SHA-256 of values.tobytes() for m=2 solves of three rounds, the last two of
+# which interpolate the slice below; recorded before the solver planned its
+# gathers, so any change of a single bit shows here.
+M2_PINNED = {
+    "box-p3": (Box([-0.5, -0.5], [0.5, 0.5]), 3.0,
+               "055b38a805090914b2d26cef462d5680e882f2c703fd3be9403ead394f69ba5b"),
+    "ball-pinf": (Ball([0.1, 0.0], 0.5), math.inf,
+                  "3d6fc9e5f9c45c5bc2ebf76a89c098cf5bfd7128356a466839163f4b2b501637"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(M2_PINNED))
+def test_m2_interpolated_rounds_pinned(case):
+    domain, p, digest = M2_PINNED[case]
+    cfg = SolveConfig(domain=domain, T=0.96, p=p, epsilon=0.8, h_y=0.8,
+                      y_seed_lo=[-0.4, -0.4], y_seed_hi=[0.4, 0.4])
+    grid = solve(cfg, BoundaryDatum("wavy", wavy_m2))
+    assert grid.values.shape == (4, 27, 27, 10, 10)
+    assert list(grid.t_slices[2:] - grid.epsilon**2 / 2 > 0) == [True, True]
+    assert hashlib.sha256(grid.values.tobytes()).hexdigest() == digest
+
+
+FAULTS_SCRIPT = """
+import resource, sys
+from kplab.domains import BoundaryDatum, interval
+from kplab.operators import quadratic_profile
+from kplab.solver import SolveConfig, solve
+cfg = SolveConfig(domain=interval(-1, 1), T=float(sys.argv[1]), p=3.0, epsilon=0.1,
+                  y_seed_lo=[-0.5], y_seed_hi=[0.5])
+F = BoundaryDatum("quadratic_p", quadratic_profile(3.0, 1).fn)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+grid = solve(cfg, F)
+print(len(grid.t_slices), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_solve_page_faults_per_extra_slice():
+    # the planned operator reuses its buffers, so a longer march faults in
+    # little more than its extra slices; fresh temporaries per ball point
+    # cost about 20,000 faults per slice
+    src = str(Path(kplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = []
+    for T in (0.1, 0.2):
+        res = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT, repr(T)], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        runs.append([int(v) for v in res.stdout.split()])
+    (n_short, f_short), (n_long, f_long) = runs
+    assert n_long - n_short == 20
+    assert (f_long - f_short) / (n_long - n_short) < 2000, runs
+
+
+def test_build_grid_refuses_grid_beyond_memory():
+    # 177^2 x nodes, 285^2 y nodes and 101 slices: 1.9 TiB of values alone,
+    # known from the axes before anything of that size is allocated
+    cfg = SolveConfig(domain=Box([-1, -1], [1, 1]), T=0.5, p=3.0, epsilon=0.1)
+    with pytest.raises(GridTooLarge, match=r"31329 x nodes .* 81225 y nodes .* 101 slices needs \d+ bytes"):
+        build_grid(cfg, BoundaryDatum("y_plus_tx", y_plus_tx_profile(2).fn))
