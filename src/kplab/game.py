@@ -23,7 +23,7 @@ import numpy as np
 
 from .domains import BoundaryDatum, SpatialDomain
 from .operators import coin_weights, is_inf
-from .solver import ValueGrid, time_ladder
+from .solver import ValueGrid, rounds
 
 
 @dataclass
@@ -46,7 +46,7 @@ class Strategy:
     descriptor: str = ""
 
     def __call__(self, X, Y, k, t):
-        return np.atleast_1d(np.asarray(self.chooser(X, Y, k, t), dtype=float))
+        return np.array(self.chooser(X, Y, k, t), dtype=float, copy=None, ndmin=1)
 
 
 @dataclass
@@ -73,10 +73,27 @@ class GameConfig:
         return coin_weights(self.p, self.domain.m)
 
 
+def _episode_key(seed: int, episode: int) -> np.ndarray:
+    """Philox key of the stream of episode ``episode`` under ``seed``."""
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, episode], dtype=np.uint64)
+
+
 def episode_rng(seed: int, episode: int) -> np.random.Generator:
     """Independent per-episode stream from a counter-based generator."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, episode], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_episode_key(seed, episode)))
+
+
+def _rekey(rng: np.random.Generator, seed: int, episode: int) -> np.random.Generator:
+    """Re-key rng in place to the start of episode_rng(seed, episode)'s stream.
+
+    Sets the whole Philox state a fresh key leaves (counter 0, empty buffer,
+    no cached half word) for a fraction of the cost of building a generator.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": (0, 0, 0, 0), "key": _episode_key(seed, episode)},
+        "buffer": (0, 0, 0, 0)}
+    return rng
 
 
 def _uniform_ball(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -166,11 +183,11 @@ def run_episode(config: GameConfig, start, s_one: Strategy, s_two: Strategy,
                 rng: np.random.Generator, log_steps: bool = False) -> EpisodeResult:
     """Play one game from start = (X0, Y0, t0) until the collar or N rounds."""
     X0, Y0, t0 = start
-    X = np.atleast_1d(np.asarray(X0, float)).copy()
-    Y = np.atleast_1d(np.asarray(Y0, float)).copy()
+    X = np.array(X0, float, ndmin=1)
+    Y = np.array(Y0, float, ndmin=1)
     t0 = float(t0)
-    N, _ = time_ladder(t0, config.epsilon)
-    state = GameState(0, X, Y, done=bool(config.domain.signed_distance(X) >= 0) or N == 0)
+    N = rounds(t0, config.epsilon)
+    state = GameState(0, X, Y, done=config.is_terminal(X) or N == 0)
     log = []
     step_back = config.epsilon**2 / 2
     while not state.done:
@@ -197,16 +214,17 @@ def estimate_value(config: GameConfig, start, s_one: Strategy, s_two: Strategy,
                    episodes: int | None = None, collect_tau: bool = False):
     """Sample mean and standard error of the payoff over seeded episodes.
 
-    Each episode uses its own counter-based stream keyed by its index; the
-    final reduction is exact summation.
+    Each episode uses its own counter-based stream keyed by its index (one
+    generator, re-keyed per episode); the final reduction is exact summation.
     """
     n = episodes if episodes is not None else config.episodes
     if n < 2:
         raise ValueError("need at least 2 episodes")
     payoffs = np.empty(n)
     taus = np.empty(n, dtype=np.int64) if collect_tau else None
+    rng = episode_rng(config.seed, 0)
     for i in range(n):
-        res = run_episode(config, start, s_one, s_two, episode_rng(config.seed, i))
+        res = run_episode(config, start, s_one, s_two, _rekey(rng, config.seed, i))
         payoffs[i] = res.payoff
         if collect_tau:
             taus[i] = res.tau
@@ -234,7 +252,7 @@ def pull_toward(Z, eps: float) -> Strategy:
 
     def chooser(X, Y, k, t):
         d = X - Z
-        n = np.linalg.norm(d)
+        n = math.sqrt(d @ d)
         if n <= eps:
             return X
         return X - (eps / n) * d
@@ -371,12 +389,12 @@ def supermartingale_diagnostic(config: GameConfig, start, Z, episodes: int,
     s_one = pull_toward(Z, config.epsilon)
     s_two = opponent or stay_strategy()
     eps = config.epsilon
-    N, _ = time_ladder(float(t0), eps)
+    N = rounds(float(t0), eps)
     MX = np.empty((episodes, N + 1))
     MY = np.empty((episodes, N + 1))
+    rng = episode_rng(config.seed, 0)
     for i in range(episodes):
-        rng = episode_rng(config.seed, i)
-        res = run_episode(config, start, s_one, s_two, rng, log_steps=True)
+        res = run_episode(config, start, s_one, s_two, _rekey(rng, config.seed, i), log_steps=True)
         dx = float(np.linalg.norm(X0 - Z))
         dy = 0.0
         MX[i, 0] = dx

@@ -48,20 +48,22 @@ class InterpolationRangeError(ValueError):
         )
 
 
-def time_ladder(t: float, eps: float):
-    """Number of rounds N and the clock times t_k = t - k eps^2/2, k = 0..N.
-
-    N is the smallest integer with N >= t / (eps^2/2); the last time t_N lies
-    in (-eps^2/2, 0].  Exact divisions are snapped against float noise.
+def rounds(t: float, eps: float) -> int:
+    """Number of rounds N from clock time t: the smallest integer with
+    N >= t / (eps^2/2), so t - N eps^2/2 lies in (-eps^2/2, 0].  Exact
+    divisions are snapped against float noise.
     """
     step = eps * eps / 2.0
     if not (-step < t):
         raise ValueError(f"t={t} out of range (-eps^2/2, inf)")
     x = t / step
-    N = int(math.ceil(x - 1e-9 * max(1.0, abs(x))))
-    N = max(N, 0)
-    times = t - step * np.arange(N + 1)
-    return N, times
+    return max(int(math.ceil(x - 1e-9 * max(1.0, abs(x)))), 0)
+
+
+def time_ladder(t: float, eps: float):
+    """Number of rounds N and the clock times t_k = t - k eps^2/2, k = 0..N."""
+    N = rounds(t, eps)
+    return N, t - eps * eps / 2.0 * np.arange(N + 1)
 
 
 @dataclass
@@ -325,7 +327,7 @@ def solve_iterative(config: SolveConfig, F: BoundaryDatum, init, sweeps: int | N
     for i, t in enumerate(grid.t_slices):
         if t > 0:
             grid.values[i] = np.where(interior, init, grid.values[i])
-    N, _ = time_ladder(config.T, config.epsilon)
+    N = rounds(config.T, config.epsilon)
     if sweeps is None:
         sweeps = N
     for _ in range(sweeps):
@@ -399,7 +401,7 @@ def write_grid_binary(grid: ValueGrid, path):
         f.write(struct.pack("<d", float(grid.t_slices[0])))
         for ax in grid.x_axes + grid.y_axes:
             f.write(struct.pack("<Idd", ax.n, ax.origin, ax.spacing))
-        f.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(grid.values, dtype="<f8").data)
 
 
 def read_grid_binary(path) -> ValueGrid:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from kplab.domains import BoundaryDatum, Box, interval, Ball
 from kplab.game import (GameConfig, GameState, Strategy, step, run_episode,
                         estimate_value, pull_toward, stay_strategy, greedy_from_grid,
-                        supermartingale_diagnostic, episode_rng, _uniform_ball)
+                        supermartingale_diagnostic, episode_rng, _rekey, _uniform_ball)
 from kplab.operators import affine_profile, constant_profile, quadratic_profile, y_plus_tx_profile
 from kplab.quadrature import BallQuadrature
 from kplab.solver import SolveConfig, solve, time_ladder
@@ -310,3 +311,50 @@ def test_m2_greedy_game_matches_grid(grid_m2):
     gv = float(grid_m2.interpolate(np.array(start[0]), np.array(start[1]), start[2]))
     assert gv == pytest.approx(0.1 + 0.32 * 0.3, abs=1e-12)
     assert abs(mean - gv) <= 4 * se
+
+
+@pytest.mark.parametrize("episode", [0, 1, 2**32 + 7])
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1, -1])
+def test_rekeyed_stream_matches_fresh_episode_rng(seed, episode):
+    rng = episode_rng(12345, 9)
+    rng.random(3)  # counter and buffer moved on
+    for half_word in (False, True):
+        if half_word:
+            # leaves half of a 64-bit word cached in the bit generator
+            rng.integers(0, 10, dtype=np.int32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        _rekey(rng, seed, episode)
+        fresh = episode_rng(seed, episode)
+        assert rng.bit_generator.state["has_uint32"] == 0
+        assert np.array_equal(rng.random(64), fresh.random(64))
+        assert np.array_equal(rng.standard_normal(16), fresh.standard_normal(16))
+
+
+# SHA-256 of (mean, se) as float64 followed by the taus as little-endian int64,
+# 400 episodes each; recorded before estimate_value re-keyed one generator per
+# episode, so a single changed bit of any stream shows here.
+ESTIMATE_PINNED = {
+    "m1-pull": (make_config(seed=-1), ([0.2], [0.1], 0.4),
+                (pull_toward([0.9], 0.2), pull_toward([-0.9], 0.2)),
+                "f532436e3a941aa916714f2922216cc3f87fea87b3e64dd000f62860349ba675"),
+    "m2-box-noise": (GameConfig(domain=Box([-1, -1], [1, 1]), T=0.5, p=4.0, epsilon=0.3,
+                                payoff=BoundaryDatum("q", quadratic_profile(4.0, 2).fn),
+                                seed=2**63 + 5),
+                     ([0.3, -0.2], [0.1, 0.2], 0.3), (pull_toward([0.6, 0.4], 0.3), stay_strategy()),
+                     "85e50587c239570b246d14861919e294e6c560680bb3a01cb5c07cc7ac9fdacc"),
+    "m1-collar-start": (make_config(seed=5), ([-1.0], [0.3], 0.4), (stay_strategy(), stay_strategy()),
+                        "e860b26f7980bd603228942f56dace83ba3c478254853896ca22c4bfc2327337"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATE_PINNED))
+def test_estimate_value_pinned(case):
+    cfg, start, players, digest = ESTIMATE_PINNED[case]
+    assert cfg.alpha_beta[1] > 0  # noise rounds
+    mean, se, taus = estimate_value(cfg, start, *players, episodes=400, collect_tau=True)
+    if case == "m1-collar-start":
+        assert not taus.any()
+    else:
+        assert taus.min() < taus.max()  # some episodes stop early on the collar
+    got = hashlib.sha256(np.array([mean, se]).tobytes() + taus.astype("<i8").tobytes())
+    assert got.hexdigest() == digest

@@ -254,6 +254,20 @@ def test_binary_round_trip(tmp_path):
     assert back.x_axes == grid.x_axes and back.y_axes == grid.y_axes
 
 
+def test_write_grid_binary_does_not_copy_grid(tmp_path):
+    import tracemalloc
+
+    grid = solve(small_config(), datum_y_plus_tx())
+    tracemalloc.start()
+    try:
+        write_grid_binary(grid, tmp_path / "grid.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.values.nbytes / 2
+    assert np.array_equal(read_grid_binary(tmp_path / "grid.bin").values, grid.values)
+
+
 def test_binary_round_trip_inf_p(tmp_path):
     cfg = SolveConfig(domain=interval(-1, 1), T=0.1, p=math.inf, epsilon=0.4,
                       y_seed_lo=[-0.2], y_seed_hi=[0.2])
