@@ -85,7 +85,6 @@ SCHEMA = {
         "command": _ident + ("",),
         "seed": (_opt(lambda s: int(s)), _ser_opt(repr), None),
         "out": _ident + ("out",),
-        "threads": _int + (0,),
     },
     "domain": {
         "m": _int + (1,),

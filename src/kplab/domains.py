@@ -34,6 +34,11 @@ class Ball:
         X = np.asarray(X, dtype=float)
         return np.linalg.norm(X - self.center, axis=-1) - self.radius
 
+    def collar(self, X) -> np.ndarray:
+        """Vectorized signed_distance(X) >= 0: |X - center| >= radius."""
+        X = np.asarray(X, dtype=float)
+        return np.linalg.norm(X - self.center, axis=-1) >= self.radius
+
     def outward_normal(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         v = X - self.center
@@ -77,6 +82,11 @@ class Box:
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
         inside = np.minimum(np.max(q, axis=-1), 0.0)
         return outside + inside
+
+    def collar(self, X) -> np.ndarray:
+        """Vectorized signed_distance(X) >= 0: some coordinate at or past a face."""
+        X = np.asarray(X, dtype=float)
+        return ((X <= self.lo) | (X >= self.hi)).any(axis=-1)
 
     def outward_normal(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -113,7 +113,7 @@ class DppPlan:
             self.fx.append(u)
         # a lateral-collar velocity sends its whole row to the datum; the other
         # rows do so only where the position query leaves the box
-        self.lateral = grid.domain.signed_distance(self.Xs) >= 0
+        self.lateral = grid.domain.collar(self.Xs)
         y_lo = [ax.origin for ax in grid.y_axes]
         y_hi = [ax.top for ax in grid.y_axes]
         y_tol = [1e-12 * max(hi - lo, 1.0) for lo, hi in zip(y_lo, y_hi)]

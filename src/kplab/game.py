@@ -21,9 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import BoundaryDatum, SpatialDomain
+from .domains import BoundaryDatum, Box, SpatialDomain
+from .dpp import corner_offsets
 from .operators import coin_weights, is_inf
-from .solver import ValueGrid, rounds
+from .solver import InterpolationRangeError, ValueGrid, rounds
 
 
 @dataclass
@@ -118,29 +119,14 @@ def _project_step(X: np.ndarray, target: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _terminal_predicate(domain: SpatialDomain):
-    """Cheap exact test for sdf(X) >= 0, the stopping condition."""
-    from .domains import Ball, Box
+    """The stopping condition sdf(X) >= 0, domain.collar for one state.
 
-    if isinstance(domain, Box):
-        if domain.m == 1:
-            lo0, hi0 = float(domain.lo[0]), float(domain.hi[0])
-            return lambda X: X[0] <= lo0 or X[0] >= hi0
-        lo, hi = domain.lo, domain.hi
-        return lambda X: bool(np.any(X <= lo) or np.any(X >= hi))
-    if isinstance(domain, Ball):
-        c, r2 = domain.center, domain.radius**2
-        return lambda X: bool(((X - c) @ (X - c)) >= r2)
-    return lambda X: bool(domain.signed_distance(X) >= 0)
-
-
-def _lateral_mask_fn(domain: SpatialDomain):
-    """Vectorized sdf(X) >= 0 over sample batches (X flattened to (S,) for m=1)."""
-    from .domains import Ball, Box
-
+    An m=1 box keeps a scalar lambda: this runs on every round.
+    """
     if isinstance(domain, Box) and domain.m == 1:
         lo0, hi0 = float(domain.lo[0]), float(domain.hi[0])
-        return lambda Xs: (Xs <= lo0) | (Xs >= hi0)
-    return lambda Xs: domain.signed_distance(Xs[:, None]) >= 0
+        return lambda X: X[0] <= lo0 or X[0] >= hi0
+    return lambda X: bool(domain.collar(X))
 
 
 def step(config: GameConfig, state: GameState, s_one: Strategy, s_two: Strategy,
@@ -268,6 +254,11 @@ def greedy_from_grid(grid: ValueGrid, mode: str, delta_snap: float | None = None
     construction; ties break toward the first sample.  ``mode`` is "maximize"
     (player I) or "minimize" (player II).  The clock time passed by the engine
     must lie on the grid's ladder.
+
+    The one-step value is read the way the solver reads it: the datum at
+    source times <= 0 and at collar velocities, the multilinear interpolant
+    of the slice below otherwise.  Everything that depends only on the grid
+    is prepared here, once.
     """
     if mode not in ("maximize", "minimize"):
         raise ValueError("mode must be 'maximize' or 'minimize'")
@@ -275,71 +266,65 @@ def greedy_from_grid(grid: ValueGrid, mode: str, delta_snap: float | None = None
         delta_snap = grid.h_y
     if not delta_snap > 0:
         raise ValueError("delta_snap must be positive")
-    eps = grid.epsilon
-    offs = grid.ball_offsets
-    maximize = mode == "maximize"
+    if grid.domain is None or grid.boundary is None:
+        raise ValueError("greedy_from_grid needs the grid's velocity domain and boundary datum; "
+                         "a grid read back by read_grid_binary carries neither")
+    pick = np.argmax if mode == "maximize" else np.argmin
+    m, eps = grid.m, grid.epsilon
+    half_step = eps**2 / 2
+    D = np.ascontiguousarray((eps * grid.ball_offsets).T)   # (m, S) velocity offsets
+    S = D.shape[1]
+    # the position queries are monotone in the offset, so the extreme offsets
+    # bound them exactly; velocity queries need no check, since one off the
+    # velocity axes lies in the collar and reads the datum
+    d_lo, d_hi = D.min(axis=1).tolist(), D.max(axis=1).tolist()
+    axes = grid.x_axes + grid.y_axes
+    origin = np.array([[ax.origin] for ax in axes])
+    spacing = np.array([[ax.spacing] for ax in axes])
+    top_cell = np.array([[ax.n - 2] for ax in axes])
+    strides, offsets = corner_offsets(axes)
+    stride, corner = np.array(strides), np.array(offsets)[:, None]
+    y_range = [(m + d, ax, 1e-9 * max(ax.n - 1, 1)) for d, ax in enumerate(grid.y_axes)]
+    V = grid.values.reshape(len(grid.t_slices), -1)
+    t_first, n_slices = float(grid.t_slices[0]), len(grid.t_slices)
+    collar, F = grid.domain.collar, grid.boundary
 
-    if grid.m == 1:
-        # flat fast path: this chooser runs millions of times per experiment
-        from .solver import InterpolationRangeError
-
-        V = grid.values
-        xax, yax = grid.x_axes[0], grid.y_axes[0]
-        x0, hx, nx = xax.origin, xax.spacing, xax.n
-        y0, hy, ny = yax.origin, yax.spacing, yax.n
-        t_first = float(grid.t_slices[0])
-        half_step = eps * eps / 2
-        n_slices = len(grid.t_slices)
-        offs1 = eps * offs[:, 0]
-        S = len(offs1)
-        F = grid.boundary
-        lateral_of = _lateral_mask_fn(grid.domain)
-        y_tol = 1e-9 * max(ny - 1, 1)
-        nx2, ny2 = nx - 2, ny - 2
-
-        def chooser(X, Y, k, t):
-            t_src = t - half_step
-            y_hat = delta_snap * math.floor(float(Y[0]) / delta_snap)
-            Xs = float(X[0]) + offs1
-            Yq = y_hat + half_step * Xs
-            if t_src <= 0:
-                vals = F(Xs[:, None], Yq[:, None], np.full(S, t_src))
-            else:
-                i = int(round((t_src - t_first) / half_step))
-                if i < 0 or i >= n_slices or abs(t_first + i * half_step - t_src) > 1e-9 * max(1.0, abs(t_src)):
-                    raise ValueError(f"time {t_src} not on the grid ladder")
-                uy = (Yq - y0) / hy
-                if uy.min() < -y_tol or uy.max() > ny - 1 + y_tol:
-                    raise InterpolationRangeError(1, float(Yq.max()), y0, yax.top)
-                ux = (Xs - x0) / hx
-                ix = ux.astype(np.int64)
-                np.minimum(ix, nx2, out=ix)
-                np.maximum(ix, 0, out=ix)
-                fx = ux - ix
-                iy = uy.astype(np.int64)
-                np.minimum(iy, ny2, out=iy)
-                np.maximum(iy, 0, out=iy)
-                fy = uy - iy
-                Vi = V[i]
-                lo = Vi[ix, iy]
-                lo = lo + fy * (Vi[ix, iy + 1] - lo)
-                hi = Vi[ix + 1, iy]
-                hi = hi + fy * (Vi[ix + 1, iy + 1] - hi)
-                vals = lo + fx * (hi - lo)
-                lateral = lateral_of(Xs)
-                if lateral.any():
-                    vals[lateral] = F(Xs[lateral][:, None], Yq[lateral][:, None],
-                                      np.full(int(np.count_nonzero(lateral)), t_src))
-            idx = int(np.argmax(vals) if maximize else np.argmin(vals))
-            return np.array([Xs[idx]])
-    else:
-        def chooser(X, Y, k, t):
-            Y_hat = delta_snap * np.floor(np.asarray(Y, float) / delta_snap)
-            Xs = X + eps * offs                      # (S, m)
-            Yq = Y_hat + (eps**2 / 2) * Xs           # (S, m)
-            vals = grid.dpp_query(Xs, Yq, t - eps**2 / 2, clamp=False)
-            idx = int(np.argmax(vals) if maximize else np.argmin(vals))
-            return Xs[idx]
+    def chooser(X, Y, k, t):
+        t_src = t - half_step
+        y_hat = [delta_snap * math.floor(y / delta_snap) for y in Y.tolist()]
+        q = np.empty((2 * m, S))                  # rows: Xs by axis, then Yq
+        Xs, Yq = q[:m], q[m:]
+        np.add(X[:, None], D, out=Xs)
+        np.multiply(half_step, Xs, out=Yq)
+        Yq += np.array(y_hat)[:, None]
+        if t_src <= 0:
+            vals = F(Xs.T, Yq.T, np.full(S, t_src))
+        else:
+            i = int(round((t_src - t_first) / half_step))
+            if i < 0 or i >= n_slices or abs(t_first + i * half_step - t_src) > 1e-9 * max(1.0, abs(t_src)):
+                raise ValueError(f"time {t_src} not on the grid ladder")
+            for (a, ax, tol), x, y, lo, hi in zip(y_range, X.tolist(), y_hat, d_lo, d_hi):
+                q_lo, q_hi = y + half_step * (x + lo), y + half_step * (x + hi)
+                if (q_lo - ax.origin) / ax.spacing < -tol:
+                    raise InterpolationRangeError(a, q_lo, ax.origin, ax.top)
+                if (q_hi - ax.origin) / ax.spacing > ax.n - 1 + tol:
+                    raise InterpolationRangeError(a, q_hi, ax.origin, ax.top)
+            u = q - origin
+            u /= spacing
+            cell = u.astype(np.int64)
+            np.minimum(cell, top_cell, out=cell)
+            np.maximum(cell, 0, out=cell)
+            u -= cell
+            c = V[i][corner + stride @ cell]      # (2^(2m), S): corner c steps axis a by bit a
+            for a in range(2 * m - 1, -1, -1):
+                half = 1 << a
+                lo = c[:half]
+                c = lo + u[a] * (c[half:2 * half] - lo)
+            vals = c[0]
+            lateral = collar(Xs.T)
+            if lateral.any():
+                vals[lateral] = F(Xs.T[lateral], Yq.T[lateral], np.full(int(np.count_nonzero(lateral)), t_src))
+        return Xs[:, int(pick(vals))]
 
     return Strategy(chooser, f"greedy-{mode}(snap={delta_snap:g})")
 

@@ -128,25 +128,23 @@ def _build_axis(lo: float, hi: float, h_req: float) -> Axis:
     return Axis(lo, span / n_int, n_int + 1)
 
 
-def _multilinear(values: np.ndarray, axes: Sequence[Axis], coords: Sequence[np.ndarray], clamp: bool):
+def _multilinear(values: np.ndarray, axes: Sequence[Axis], coords: Sequence[np.ndarray]):
     """Multilinear interpolation on a uniform tensor grid.
 
-    ``coords`` holds one query array per axis (mutually broadcastable).  With
-    clamp=False a query beyond an axis range (1e-9 relative tolerance) raises
-    InterpolationRangeError; with clamp=True it is clamped to the edge, which
-    the solver uses internally (see apply_dpp notes).
+    ``coords`` holds one query array per axis (mutually broadcastable).  A
+    query beyond an axis range (1e-9 relative tolerance) raises
+    InterpolationRangeError.
     """
     strides, offsets = corner_offsets(axes)
     base = 0
     fracs = []
     for a, (ax, q) in enumerate(zip(axes, coords)):
         u = np.asarray((np.asarray(q, float) - ax.origin) / ax.spacing)
-        if not clamp:
-            tol = 1e-9 * max(ax.n - 1, 1)
-            bad = (u < -tol) | (u > ax.n - 1 + tol)
-            if np.any(bad):
-                v = np.asarray(q, float)[bad].ravel()[0]
-                raise InterpolationRangeError(a, float(v), ax.origin, ax.top)
+        tol = 1e-9 * max(ax.n - 1, 1)
+        bad = (u < -tol) | (u > ax.n - 1 + tol)
+        if np.any(bad):
+            v = np.asarray(q, float)[bad].ravel()[0]
+            raise InterpolationRangeError(a, float(v), ax.origin, ax.top)
         i0 = np.empty(u.shape, np.int64)
         locate(u, ax, i0)
         base = base + i0 * strides[a]
@@ -204,7 +202,7 @@ class ValueGrid:
 
     def interior_x_mask(self) -> np.ndarray:
         """Nodes strictly inside the velocity domain, shape (n_x_total,)."""
-        return self.domain.signed_distance(self.x_nodes()) < 0
+        return ~self.domain.collar(self.x_nodes())
 
     def slice_index(self, t: float) -> int:
         step = self.epsilon**2 / 2
@@ -213,33 +211,15 @@ class ValueGrid:
             raise ValueError(f"time {t} does not lie on the grid's ladder (step {step})")
         return i
 
-    def interpolate_slice(self, i: int, Xq, Yq, clamp: bool = False) -> np.ndarray:
+    def interpolate_slice(self, i: int, Xq, Yq) -> np.ndarray:
         coords = [np.asarray(Xq)[..., d] for d in range(self.m)] + [
             np.asarray(Yq)[..., d] for d in range(self.m)
         ]
-        return _multilinear(self.values[i], self.x_axes + self.y_axes, coords, clamp)
+        return _multilinear(self.values[i], self.x_axes + self.y_axes, coords)
 
     def interpolate(self, X, Y, t) -> np.ndarray:
         """Value at (X, Y, t); t must lie on the time ladder."""
         return self.interpolate_slice(self.slice_index(float(t)), X, Y)
-
-    def dpp_query(self, Xq, Yq, t_src: float, clamp: bool = True) -> np.ndarray:
-        """u(Xq, Yq, t_src) the way the fixed-point operator sees it.
-
-        Initial-slab times and lateral-collar velocities read the boundary
-        datum in closed form; interior velocities interpolate the slice.
-        """
-        Xq = np.asarray(Xq, float)
-        Yq = np.asarray(Yq, float)
-        if t_src <= 0:
-            return self.boundary(Xq, Yq, np.full(Xq.shape[:-1], t_src))
-        sd = self.domain.signed_distance(Xq)
-        lateral = sd >= 0
-        out = self.interpolate_slice(self.slice_index(t_src), Xq, Yq, clamp=clamp)
-        if np.any(lateral):
-            fb = self.boundary(Xq, Yq, np.full(Xq.shape[:-1], t_src))
-            out = np.where(lateral, fb, out)
-        return np.asarray(out, float)
 
 
 class GridTooLarge(ValueError):

@@ -6,6 +6,7 @@ from kplab.domains import (Ball, Box, interval, ParabolicCollar, Region,
                            classify_parabolic, KolmogorovRegion, classify_kolmogorov,
                            BoundaryDatum, mcshane_extend, LipschitzViolation,
                            verify_g_eps_lipschitz, velocity_bound)
+from kplab.game import _terminal_predicate
 from kplab.geometry import point, GroupPoint, extension_metric
 from kplab.operators import affine_profile, constant_profile, y_plus_tx_profile
 
@@ -56,6 +57,45 @@ def test_velocity_bound():
     assert velocity_bound(interval(-1, 1)) == 1.0
     assert velocity_bound(interval(-0.3, 0.2)) == 1.0  # floor at 1
     assert velocity_bound(Ball([1.0], 2.0)) == 3.0
+
+
+def _straddle(X):
+    """X and every point one float step either side of X in one coordinate."""
+    out = [X]
+    for d in range(X.shape[-1]):
+        for to in (-np.inf, np.inf):
+            Z = X.copy()
+            Z[..., d] = np.nextafter(X[..., d], to)
+            out.append(Z)
+    return np.concatenate(out)
+
+
+def _collar_probes():
+    box2 = Box([-1.0, -0.5], [1.0, 2.0])
+    faces = np.array([[-1.0, 0.3], [1.0, 0.3], [0.2, -0.5], [0.2, 2.0], [-1.0, -0.5], [1.0, 2.0]])
+    # a dyadic centre and radius put (3, 4, 5)-triangle points exactly on the
+    # sphere; the rotated points land within rounding of it
+    ball = Ball([0.5, -0.25], 0.625)
+    angles = np.linspace(0.0, 2 * np.pi, 41)
+    rim = np.concatenate([ball.center + np.array([[0.375, 0.5], [-0.5, 0.375], [0.625, 0.0], [0.0, -0.625]]),
+                          ball.center + 0.625 * np.stack([np.cos(angles), np.sin(angles)], axis=-1)])
+    return [(interval(-1, 1), _straddle(np.array([[-1.0], [1.0], [0.0]]))),
+            (box2, _straddle(faces)),
+            (ball, _straddle(rim))]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["box-m1", "box-m2", "ball-m2"])
+def test_collar_is_signed_distance_at_least_zero(case):
+    domain, X = _collar_probes()[case]
+    collar = domain.collar(X)
+    assert np.array_equal(collar, domain.signed_distance(X) >= 0)
+    assert collar.any() and not collar.all()
+    stops = _terminal_predicate(domain)
+    parabolic = ParabolicCollar(domain, 0.1, 0.5)
+    for x, c in zip(X, collar):
+        assert bool(stops(x)) == c
+        interior = classify_parabolic(GroupPoint(x, np.zeros_like(x), 0.25), parabolic) is Region.INTERIOR
+        assert interior == (not c)
 
 
 def test_classify_parabolic_examples():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -10,7 +11,8 @@ from kplab.game import (GameConfig, GameState, Strategy, step, run_episode,
                         supermartingale_diagnostic, episode_rng, _rekey, _uniform_ball)
 from kplab.operators import affine_profile, constant_profile, quadratic_profile, y_plus_tx_profile
 from kplab.quadrature import BallQuadrature
-from kplab.solver import SolveConfig, solve, time_ladder
+from kplab.solver import (InterpolationRangeError, SolveConfig, read_grid_binary, solve,
+                          time_ladder, write_grid_binary)
 
 
 def datum_y_plus_tx():
@@ -330,9 +332,32 @@ def test_rekeyed_stream_matches_fresh_episode_rng(seed, episode):
         assert np.array_equal(rng.standard_normal(16), fresh.standard_normal(16))
 
 
+GREEDY_START = ([0.3, -0.2], [0.1, 0.2], 0.96)
+GREEDY_DOMAINS = {"box": (Box([-1, -1], [1, 1]), 3.0), "ball": (Ball([0.0, 0.0], 1.0), 4.0)}
+
+
+def greedy_m2_config(shape, seed):
+    domain, p = GREEDY_DOMAINS[shape]
+    return GameConfig(domain=domain, T=0.96, p=p, epsilon=0.8,
+                      payoff=BoundaryDatum("y_plus_tx", y_plus_tx_profile(2).fn), seed=seed)
+
+
+@functools.cache
+def greedy_m2_grid(shape):
+    # eps^2/2 = 0.32: from t = 0.96 the greedy read interpolates the slices at
+    # 0.64 and 0.32, then reads the datum
+    domain, p = GREEDY_DOMAINS[shape]
+    cfg = SolveConfig(domain=domain, T=0.96, p=p, epsilon=0.8, h_y=0.4,
+                      y_seed_lo=GREEDY_START[1], y_seed_hi=GREEDY_START[1])
+    return solve(cfg, BoundaryDatum("y_plus_tx", y_plus_tx_profile(2).fn))
+
+
 # SHA-256 of (mean, se) as float64 followed by the taus as little-endian int64,
 # 400 episodes each; recorded before estimate_value re-keyed one generator per
-# episode, so a single changed bit of any stream shows here.
+# episode (the greedy cases: before one greedy read served every m), so a
+# single changed bit of any stream or any choice shows here.  A str in place of
+# the players names the grid of greedy-max against greedy-min, built on first
+# use, and their mean is checked against the grid's value as well.
 ESTIMATE_PINNED = {
     "m1-pull": (make_config(seed=-1), ([0.2], [0.1], 0.4),
                 (pull_toward([0.9], 0.2), pull_toward([-0.9], 0.2)),
@@ -344,12 +369,20 @@ ESTIMATE_PINNED = {
                      "85e50587c239570b246d14861919e294e6c560680bb3a01cb5c07cc7ac9fdacc"),
     "m1-collar-start": (make_config(seed=5), ([-1.0], [0.3], 0.4), (stay_strategy(), stay_strategy()),
                         "e860b26f7980bd603228942f56dace83ba3c478254853896ca22c4bfc2327337"),
+    "m2-box-greedy": (greedy_m2_config("box", 61), GREEDY_START, "box",
+                      "1d0951d7ea9e836d00952160bf56954d3bff4a9ff52fde9e419089073e94cf91"),
+    "m2-ball-greedy": (greedy_m2_config("ball", 67), GREEDY_START, "ball",
+                       "5d8ef9c15aaa5f1895d0a86d37446e00e3db2ea209b3325613e1de29b91016db"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ESTIMATE_PINNED))
 def test_estimate_value_pinned(case):
     cfg, start, players, digest = ESTIMATE_PINNED[case]
+    grid = None
+    if isinstance(players, str):
+        grid = greedy_m2_grid(players)
+        players = greedy_from_grid(grid, "maximize"), greedy_from_grid(grid, "minimize")
     assert cfg.alpha_beta[1] > 0  # noise rounds
     mean, se, taus = estimate_value(cfg, start, *players, episodes=400, collect_tau=True)
     if case == "m1-collar-start":
@@ -358,3 +391,38 @@ def test_estimate_value_pinned(case):
         assert taus.min() < taus.max()  # some episodes stop early on the collar
     got = hashlib.sha256(np.array([mean, se]).tobytes() + taus.astype("<i8").tobytes())
     assert got.hexdigest() == digest
+    if grid is not None:
+        # greedy against greedy plays the grid's value, exact here for Y + t X
+        X0, Y0, t0 = start
+        assert abs(mean - float(grid.interpolate(np.array(X0), np.array(Y0), t0))) <= 4 * se
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_greedy_read_rejects_queries_off_the_grid(m):
+    if m == 1:
+        grid, X, Y, t = _solved_grid(), np.array([0.1]), np.array([0.0]), 0.4
+    else:
+        grid, X, Y, t = greedy_m2_grid("box"), np.array([0.3, -0.2]), np.array([0.1, 0.2]), 0.96
+    s = greedy_from_grid(grid, "maximize")
+    assert s(X, Y, 0, t).shape == (m,)
+    for d in range(m):
+        for side in (-1.0, 1.0):
+            Y_off = Y.copy()
+            Y_off[d] = side * 100.0
+            with pytest.raises(InterpolationRangeError) as err:
+                s(X, Y_off, 0, t)
+            assert err.value.offending[0] == m + d
+    with pytest.raises(ValueError, match="not on the grid ladder"):
+        s(X, Y, 0, t + grid.epsilon**2 / 4)
+
+
+def test_greedy_refuses_reloaded_grid(tmp_path):
+    grid = solve(SolveConfig(domain=interval(-1, 1), T=0.1, p=3.0, epsilon=0.4,
+                             y_seed_lo=[-0.3], y_seed_hi=[0.3]), datum_y_plus_tx())
+    write_grid_binary(grid, tmp_path / "grid.bin")
+    back = read_grid_binary(tmp_path / "grid.bin")
+    assert np.array_equal(back.values, grid.values)
+    X, Y = np.array([0.1]), np.array([0.2])
+    assert back.interpolate(X, Y, 0.1) == grid.interpolate(X, Y, 0.1)
+    with pytest.raises(ValueError, match="domain and boundary datum"):
+        greedy_from_grid(back, "maximize")
