@@ -32,6 +32,7 @@ from .solver import GridTooLarge, SolveConfig, solve, write_grid_binary, write_g
 
 
 NAMED_BOUNDARIES = ("const", "linear", "y_plus_tx", "quadratic_p")
+GREEDY_MODES = {"greedy-max": "maximize", "greedy-min": "minimize"}
 
 
 def boundary_profile(cfg: ExperimentConfig, p):
@@ -70,14 +71,10 @@ def _strategy(spec: str, eps: float, grid=None) -> Strategy:
     if spec.startswith("pull:"):
         Z = [float(x) for x in spec[len("pull:"):].split()]
         return pull_toward(Z, eps)
-    if spec == "greedy-max":
+    if spec in GREEDY_MODES:
         if grid is None:
             raise ConfigError("greedy strategies need a solved grid (use cross-validate)")
-        return greedy_from_grid(grid, "maximize")
-    if spec == "greedy-min":
-        if grid is None:
-            raise ConfigError("greedy strategies need a solved grid (use cross-validate)")
-        return greedy_from_grid(grid, "minimize")
+        return greedy_from_grid(grid, GREEDY_MODES[spec])
     raise ConfigError(f"unknown strategy {spec!r}")
 
 

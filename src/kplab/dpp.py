@@ -1,6 +1,6 @@
 """The DPP solver's fixed-point operator, planned once per grid (DppPlan,
-apply_dpp), and the multilinear corner gather and blend that it shares with
-kplab.solver's interpolation of grid values.
+apply_dpp), and the one multilinear read of grid slices (locate, corner_offsets,
+blend) that it shares with ValueGrid and the greedy strategies (SliceReader).
 """
 
 from __future__ import annotations
@@ -12,16 +12,21 @@ import numpy as np
 from .operators import coin_weights
 
 
-def locate(u: np.ndarray, ax, i: np.ndarray):
-    """Locate scaled coordinates u = (q - origin) / spacing on axis ax, in place.
-
-    ax is a uniform axis (origin, spacing, n nodes); u is clamped to the axis, i receives each query's cell (its lower node
-    index, at most n - 2) and u becomes the fraction within that cell.
-    """
-    np.clip(u, 0.0, ax.n - 1, out=u)
-    np.copyto(i, u, casting="unsafe")
-    np.minimum(i, ax.n - 2, out=i)
-    np.subtract(u, i, out=u)
+def locate(u: np.ndarray, last, last_cell, out: np.ndarray | None = None) -> np.ndarray:
+    """Locate scaled coordinates u = (q - origin) / spacing in place: clamp u
+    to [0, last], return each query's cell (its lower node index, at most
+    last_cell; in ``out`` when given) and leave in u the fraction within it.
+    last = n - 1 and last_cell = n - 2 on an axis of n nodes: numbers, or
+    columns with one per row of u."""
+    np.maximum(u, 0.0, out=u)
+    np.minimum(u, last, out=u)
+    if out is None:
+        out = u.astype(np.int64)
+    else:
+        np.copyto(out, u, casting="unsafe")
+    np.minimum(out, last_cell, out=out)
+    u -= out
+    return out
 
 
 def corner_offsets(axes):
@@ -32,25 +37,44 @@ def corner_offsets(axes):
     return strides, offsets
 
 
-def gather_blend(src: np.ndarray, base: np.ndarray, offsets, fracs, corners) -> np.ndarray:
-    """Multilinear values from the corners of the cells whose lowest corners
-    sit at the flat indices ``base`` of the flat array ``src``.
-
-    Corner c is gathered into the buffer ``corners[c]``; then the corners are
-    blended one axis at a time, last axis first, in difference form
-    lo + f (hi - lo), which reproduces constant fields bit-exactly.  Every
-    index is in range (cells come from locate), so mode="wrap" never wraps; it
-    only lets np.take write into ``out`` unbuffered.  Returns corners[0].
-    """
-    for c, off in zip(corners, offsets):
-        np.take(src[off:], base, out=c, mode="wrap")
+def blend(corners: np.ndarray, fracs) -> np.ndarray:
+    """Multilinear values from the stacked corner values ``corners[c]``
+    (numbered as in corner_offsets) and fractions ``fracs[a]``, in place: one
+    axis at a time, last first, as lo + f (hi - lo), which reproduces
+    constant fields bit-exactly.  Returns corners[0]."""
     for a in range(len(fracs) - 1, -1, -1):
         half = 1 << a
-        for lo, hi in zip(corners[:half], corners[half:2 * half]):
-            np.subtract(hi, lo, out=hi)
-            np.multiply(fracs[a], hi, out=hi)
-            np.add(lo, hi, out=lo)
+        lo, hi = corners[:half], corners[half:2 * half]
+        hi -= lo
+        hi *= fracs[a]
+        lo += hi
     return corners[0]
+
+
+class SliceReader:
+    """Multilinear reads of small query blocks (one row per axis) from a grid
+    slice, prepared once per grid.  No range check of its own: a query off an
+    axis is clamped to it, so each caller checks the range it needs first."""
+
+    def __init__(self, axes):
+        self.origin = np.array([[ax.origin] for ax in axes])
+        self.spacing = np.array([[ax.spacing] for ax in axes])
+        self.last = np.array([[ax.n - 1.0] for ax in axes])
+        self.last_cell = np.array([[ax.n - 2] for ax in axes])
+        strides, offsets = corner_offsets(axes)
+        self.strides, self.offsets = np.array(strides), np.array(offsets)[:, None]
+
+    def scale(self, q: np.ndarray) -> np.ndarray:
+        """The block in axis units, (q - origin) / spacing, as a new array."""
+        u = q - self.origin
+        u /= self.spacing
+        return u
+
+    def __call__(self, src: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Values of the flat slice ``src`` at the scaled block ``u`` (made the
+        cell fractions): one fancy-index gather of all corners, one blend."""
+        cell = locate(u, self.last, self.last_cell)
+        return blend(src[self.offsets + self.strides @ cell], u)
 
 
 def node_lattice(grid):
@@ -94,7 +118,7 @@ class DppPlan:
         self.y_cols = [np.ascontiguousarray(self.Yn[:, d]) for d in range(m)]
         strides, self.offsets = corner_offsets(grid.x_axes + grid.y_axes)
         shape = (ni, ny)
-        self.corners = [np.empty(shape) for _ in self.offsets]
+        self.corners = np.empty((len(self.offsets),) + shape)
         self.fy = [np.empty(shape) for _ in range(m)]
         self.iy = [np.empty(shape, np.int64) for _ in range(m)]
         self.mx, self.mn, self.acc = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -107,9 +131,7 @@ class DppPlan:
         self.fx = []
         for d, ax in enumerate(grid.x_axes):
             u = (self.Xs[:, :, d:d + 1] - ax.origin) / ax.spacing
-            i0 = np.empty(u.shape, np.int64)
-            locate(u, ax, i0)
-            self.x_base += i0 * strides[d]
+            self.x_base += locate(u, ax.n - 1, ax.n - 2) * strides[d]
             self.fx.append(u)
         # a lateral-collar velocity sends its whole row to the datum; the other
         # rows do so only where the position query leaves the box
@@ -129,19 +151,24 @@ class DppPlan:
 
     def interpolate(self, grid, src: np.ndarray, k: int) -> np.ndarray:
         """Source slice values at (Xs, Yn + drift) of ball point k for every
-        interior x and y node."""
+        interior x and y node, gathered into the plan's buffers, not a fresh
+        block as in SliceReader, so the march faults in no new memory."""
         for d, ax in enumerate(grid.y_axes):
             u = self.fy[d]
             np.add(self.y_cols[d], self.drift[k, :, d:d + 1], out=u)
             np.subtract(u, ax.origin, out=u)
             np.divide(u, ax.spacing, out=u)
-            locate(u, ax, self.iy[d])
+            locate(u, ax.n - 1, ax.n - 2, out=self.iy[d])
         base = self.iy[0]
         for d in range(1, grid.m):
             np.multiply(base, grid.y_axes[d].n, out=base)
             np.add(base, self.iy[d], out=base)
         np.add(base, self.x_base[k], out=base)
-        return gather_blend(src, base, self.offsets, [f[k] for f in self.fx] + self.fy, self.corners)
+        # every index is in range (cells come from locate): mode="wrap" never
+        # wraps, it only lets np.take write into the buffer unbuffered
+        for c, off in zip(self.corners, self.offsets):
+            np.take(src[off:], base, out=c, mode="wrap")
+        return blend(self.corners, [f[k] for f in self.fx] + self.fy)
 
     def datum_fallback(self, grid, vals: np.ndarray, k: int, t_src: float):
         """Overwrite the lateral-collar and off-box queries of ball point k in

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .domains import BoundaryDatum, Box, SpatialDomain
-from .dpp import corner_offsets
 from .operators import coin_weights, is_inf
 from .solver import InterpolationRangeError, ValueGrid, rounds
 
@@ -246,31 +245,27 @@ def pull_toward(Z, eps: float) -> Strategy:
     return Strategy(chooser, f"pull_toward({Z.tolist()})")
 
 
-def greedy_from_grid(grid: ValueGrid, mode: str, delta_snap: float | None = None) -> Strategy:
+def greedy_from_grid(grid: ValueGrid, mode: str) -> Strategy:
     """Scan the shared ball point set for the extremal one-step DPP value.
 
-    The position is snapped to the delta lattice before evaluation (default
-    delta is the grid's position spacing), matching the measurable-selection
-    construction; ties break toward the first sample.  ``mode`` is "maximize"
-    (player I) or "minimize" (player II).  The clock time passed by the engine
-    must lie on the grid's ladder.
+    The position is snapped to the lattice of the grid's position spacing
+    h_y before evaluation, matching the measurable-selection construction;
+    ties break toward the first sample.  ``mode`` is "maximize" (player I) or
+    "minimize" (player II).  The clock time passed by the engine must lie on
+    the grid's ladder (ValueGrid.slice_index).
 
     The one-step value is read the way the solver reads it: the datum at
-    source times <= 0 and at collar velocities, the multilinear interpolant
-    of the slice below otherwise.  Everything that depends only on the grid
-    is prepared here, once.
+    source times <= 0 and at collar velocities, the grid's slice reader on
+    the slice below otherwise.  Everything that depends only on the grid is
+    prepared here, once.
     """
     if mode not in ("maximize", "minimize"):
         raise ValueError("mode must be 'maximize' or 'minimize'")
-    if delta_snap is None:
-        delta_snap = grid.h_y
-    if not delta_snap > 0:
-        raise ValueError("delta_snap must be positive")
     if grid.domain is None or grid.boundary is None:
         raise ValueError("greedy_from_grid needs the grid's velocity domain and boundary datum; "
                          "a grid read back by read_grid_binary carries neither")
     pick = np.argmax if mode == "maximize" else np.argmin
-    m, eps = grid.m, grid.epsilon
+    m, eps, snap = grid.m, grid.epsilon, grid.h_y
     half_step = eps**2 / 2
     D = np.ascontiguousarray((eps * grid.ball_offsets).T)   # (m, S) velocity offsets
     S = D.shape[1]
@@ -278,20 +273,15 @@ def greedy_from_grid(grid: ValueGrid, mode: str, delta_snap: float | None = None
     # bound them exactly; velocity queries need no check, since one off the
     # velocity axes lies in the collar and reads the datum
     d_lo, d_hi = D.min(axis=1).tolist(), D.max(axis=1).tolist()
-    axes = grid.x_axes + grid.y_axes
-    origin = np.array([[ax.origin] for ax in axes])
-    spacing = np.array([[ax.spacing] for ax in axes])
-    top_cell = np.array([[ax.n - 2] for ax in axes])
-    strides, offsets = corner_offsets(axes)
-    stride, corner = np.array(strides), np.array(offsets)[:, None]
-    y_range = [(m + d, ax, 1e-9 * max(ax.n - 1, 1)) for d, ax in enumerate(grid.y_axes)]
+    u_lo, u_hi = (bound[m:, 0].tolist() for bound in grid.u_bounds)
+    y_range = list(zip(range(m, 2 * m), grid.y_axes, u_lo, u_hi))
     V = grid.values.reshape(len(grid.t_slices), -1)
-    t_first, n_slices = float(grid.t_slices[0]), len(grid.t_slices)
+    read, scale, slice_index = grid.reader, grid.reader.scale, grid.slice_index
     collar, F = grid.domain.collar, grid.boundary
 
     def chooser(X, Y, k, t):
         t_src = t - half_step
-        y_hat = [delta_snap * math.floor(y / delta_snap) for y in Y.tolist()]
+        y_hat = [snap * math.floor(y / snap) for y in Y.tolist()]
         q = np.empty((2 * m, S))                  # rows: Xs by axis, then Yq
         Xs, Yq = q[:m], q[m:]
         np.add(X[:, None], D, out=Xs)
@@ -300,33 +290,21 @@ def greedy_from_grid(grid: ValueGrid, mode: str, delta_snap: float | None = None
         if t_src <= 0:
             vals = F(Xs.T, Yq.T, np.full(S, t_src))
         else:
-            i = int(round((t_src - t_first) / half_step))
-            if i < 0 or i >= n_slices or abs(t_first + i * half_step - t_src) > 1e-9 * max(1.0, abs(t_src)):
-                raise ValueError(f"time {t_src} not on the grid ladder")
-            for (a, ax, tol), x, y, lo, hi in zip(y_range, X.tolist(), y_hat, d_lo, d_hi):
+            i = slice_index(t_src)
+            for (a, ax, lo_u, hi_u), x, y, lo, hi in zip(y_range, X.tolist(), y_hat, d_lo, d_hi):
                 q_lo, q_hi = y + half_step * (x + lo), y + half_step * (x + hi)
-                if (q_lo - ax.origin) / ax.spacing < -tol:
+                if (q_lo - ax.origin) / ax.spacing < lo_u:
                     raise InterpolationRangeError(a, q_lo, ax.origin, ax.top)
-                if (q_hi - ax.origin) / ax.spacing > ax.n - 1 + tol:
+                if (q_hi - ax.origin) / ax.spacing > hi_u:
                     raise InterpolationRangeError(a, q_hi, ax.origin, ax.top)
-            u = q - origin
-            u /= spacing
-            cell = u.astype(np.int64)
-            np.minimum(cell, top_cell, out=cell)
-            np.maximum(cell, 0, out=cell)
-            u -= cell
-            c = V[i][corner + stride @ cell]      # (2^(2m), S): corner c steps axis a by bit a
-            for a in range(2 * m - 1, -1, -1):
-                half = 1 << a
-                lo = c[:half]
-                c = lo + u[a] * (c[half:2 * half] - lo)
-            vals = c[0]
+            vals = read(V[i], scale(q))
             lateral = collar(Xs.T)
-            if lateral.any():
-                vals[lateral] = F(Xs.T[lateral], Yq.T[lateral], np.full(int(np.count_nonzero(lateral)), t_src))
+            n_lateral = np.count_nonzero(lateral)
+            if n_lateral:
+                vals[lateral] = F(Xs.T[lateral], Yq.T[lateral], np.full(n_lateral, t_src))
         return Xs[:, int(pick(vals))]
 
-    return Strategy(chooser, f"greedy-{mode}(snap={delta_snap:g})")
+    return Strategy(chooser, f"greedy-{mode}(snap={snap:g})")
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def affine_profile(a, b: float, m: int) -> SmoothProfile:
         raise ValueError("coefficient vector must have length m")
     return SmoothProfile(
         "affine",
-        lambda X, Y, t: np.sum(a * X, axis=-1) + b,
+        lambda X, Y, t: (a * X).sum(axis=-1) + b,
         lambda g: np.broadcast_to(a, g.batch_shape + (m,)).copy(),
         lambda g: np.zeros(g.batch_shape + (m, m)),
         lambda g: np.zeros(g.batch_shape + (m,)),
@@ -318,7 +318,7 @@ def quadratic_profile(p, m: int) -> SmoothProfile:
     pn = "inf" if is_inf(p) else f"{p:g}"
     return SmoothProfile(
         f"quadratic_p(p={pn})",
-        lambda X, Y, t: np.sum(X**2, axis=-1) + c * t,
+        lambda X, Y, t: (X**2).sum(axis=-1) + c * t,
         lambda g: 2.0 * g.X,
         lambda g: np.broadcast_to(2.0 * np.eye(m), g.batch_shape + (m, m)).copy(),
         lambda g: np.zeros(g.batch_shape + (m,)),
@@ -351,7 +351,7 @@ def x_squared_profile(m: int) -> SmoothProfile:
 def sq_norm_x_profile(m: int) -> SmoothProfile:
     return SmoothProfile(
         "sq_norm_x",
-        lambda X, Y, t: np.sum(X**2, axis=-1),
+        lambda X, Y, t: (X**2).sum(axis=-1),
         lambda g: 2.0 * g.X,
         lambda g: np.broadcast_to(2.0 * np.eye(m), g.batch_shape + (m, m)).copy(),
         lambda g: np.zeros(g.batch_shape + (m,)),

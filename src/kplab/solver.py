@@ -28,13 +28,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .domains import BoundaryDatum, SpatialDomain, velocity_bound
-from .dpp import (DppPlan, apply_dpp, corner_offsets, gather_blend, locate, node_lattice,
-                  plan_bytes)
+from .dpp import DppPlan, SliceReader, apply_dpp, node_lattice, plan_bytes
 from .operators import is_inf
 from .quadrature import shared_ball_points
 
@@ -128,32 +126,6 @@ def _build_axis(lo: float, hi: float, h_req: float) -> Axis:
     return Axis(lo, span / n_int, n_int + 1)
 
 
-def _multilinear(values: np.ndarray, axes: Sequence[Axis], coords: Sequence[np.ndarray]):
-    """Multilinear interpolation on a uniform tensor grid.
-
-    ``coords`` holds one query array per axis (mutually broadcastable).  A
-    query beyond an axis range (1e-9 relative tolerance) raises
-    InterpolationRangeError.
-    """
-    strides, offsets = corner_offsets(axes)
-    base = 0
-    fracs = []
-    for a, (ax, q) in enumerate(zip(axes, coords)):
-        u = np.asarray((np.asarray(q, float) - ax.origin) / ax.spacing)
-        tol = 1e-9 * max(ax.n - 1, 1)
-        bad = (u < -tol) | (u > ax.n - 1 + tol)
-        if np.any(bad):
-            v = np.asarray(q, float)[bad].ravel()[0]
-            raise InterpolationRangeError(a, float(v), ax.origin, ax.top)
-        i0 = np.empty(u.shape, np.int64)
-        locate(u, ax, i0)
-        base = base + i0 * strides[a]
-        fracs.append(u)
-    base = np.asarray(base)
-    corners = [np.empty(base.shape) for _ in offsets]
-    return gather_blend(values.reshape(-1), base, offsets, fracs, corners)
-
-
 @dataclass
 class ValueGrid:
     """Discrete fixed-point function on x-grid x y-grid x time ladder.
@@ -174,6 +146,14 @@ class ValueGrid:
     boundary: BoundaryDatum | None
     ball_offsets: np.ndarray
     ball_weights: np.ndarray
+
+    def __post_init__(self):
+        # prepared once: the reader, axis ranges in axis units (1e-9-cell tolerance), the ladder
+        axes = self.x_axes + self.y_axes
+        self.reader = SliceReader(axes)
+        tol = np.array([[1e-9 * max(ax.n - 1, 1)] for ax in axes])
+        self.u_bounds = (-tol, self.reader.last + tol)
+        self._ladder = (float(self.t_slices[0]), self.epsilon**2 / 2, self.t_slices.tolist())
 
     @property
     def h_x(self) -> float:
@@ -205,17 +185,31 @@ class ValueGrid:
         return ~self.domain.collar(self.x_nodes())
 
     def slice_index(self, t: float) -> int:
-        step = self.epsilon**2 / 2
-        i = int(round((t - self.t_slices[0]) / step))
-        if i < 0 or i >= len(self.t_slices) or abs(self.t_slices[i] - t) > 1e-9 * max(1.0, abs(t)) + 1e-12:
-            raise ValueError(f"time {t} does not lie on the grid's ladder (step {step})")
+        """Index of the slice at time t, within 1e-9 max(1, |t|) + 1e-12: the
+        ladder test of every read of the grid."""
+        t0, step, times = self._ladder
+        i = int(round((t - t0) / step))
+        if not 0 <= i < len(times) or abs(times[i] - t) > 1e-9 * max(1.0, abs(t)) + 1e-12:
+            raise ValueError(f"time {t} is not on the grid ladder (step {step})")
         return i
 
     def interpolate_slice(self, i: int, Xq, Yq) -> np.ndarray:
-        coords = [np.asarray(Xq)[..., d] for d in range(self.m)] + [
-            np.asarray(Yq)[..., d] for d in range(self.m)
-        ]
-        return _multilinear(self.values[i], self.x_axes + self.y_axes, coords)
+        """Multilinear value of slice i at (Xq, Yq), shapes (..., m), broadcast
+        together.  A query beyond an axis by more than 1e-9 cells raises
+        InterpolationRangeError naming the first such axis and its first
+        value; one within that tolerance reads the axis end."""
+        Xq, Yq = np.asarray(Xq, float), np.asarray(Yq, float)
+        shape = np.broadcast_shapes(Xq.shape[:-1], Yq.shape[:-1])
+        q = np.empty((2 * self.m,) + shape)
+        q[:self.m], q[self.m:] = np.moveaxis(Xq, -1, 0), np.moveaxis(Yq, -1, 0)
+        q = q.reshape(2 * self.m, -1)
+        u = self.reader.scale(q)
+        bad = (u < self.u_bounds[0]) | (u > self.u_bounds[1])
+        if bad.any():
+            a = int(bad.any(axis=1).argmax())
+            ax = (self.x_axes + self.y_axes)[a]
+            raise InterpolationRangeError(a, float(q[a, bad[a].argmax()]), ax.origin, ax.top)
+        return self.reader(self.values[i].reshape(-1), u).reshape(shape)
 
     def interpolate(self, X, Y, t) -> np.ndarray:
         """Value at (X, Y, t); t must lie on the time ladder."""

@@ -193,7 +193,9 @@ def test_threads_do_not_change_play_output(tmp_path):
 
 # Small solve / play / cross-validate runs; each file's SHA-256 was recorded
 # from the CLI before the named boundary data were built from the profile
-# catalog, and any change to the seeded outputs shows up here.
+# catalog, and any change to the seeded outputs shows up here.  The sweep's
+# digest was recorded before interpolate_slice read through the reader it
+# shares with the greedy strategies.
 PINNED_RUNS = {
     "solve": ("[experiment]\ncommand = solve\n"
               "[domain]\nm = 1\nshape = interval\nlo = -1\nhi = 1\n"
@@ -212,6 +214,11 @@ PINNED_RUNS = {
                        "[solve]\np = 3\nepsilon = 0.3\nt_horizon = 0.2\ny_seed = -0.3 0.3\n"
                        "[play]\np = 3\nepsilon = 0.3\nt_horizon = 0.2\n"
                        "starts = 0.2 0.0 0.155; -0.3 0.1 0.11\nepisodes = 1000\n"),
+    "sweep": ("[experiment]\ncommand = sweep\n"
+              "[domain]\nm = 1\nshape = interval\nlo = -1\nhi = 1\n"
+              "[boundary]\nname = quadratic_p\n"
+              "[solve]\np = 3\nt_horizon = 0.3\ny_seed = -0.3 0.3\n"
+              "[sweep]\nepsilons = 0.4 0.3 0.2\ncompact = -0.3 0.3 -0.3 0.3 0.05 0.3\n"),
 }
 PINNED_SHA256 = {
     "solve/grid.bin": "6f813281accf0d2977a0e960d20b35416641e88624a31e0c8ba4f8749438765d",
@@ -220,6 +227,7 @@ PINNED_SHA256 = {
     "play/play_log.csv": "632b3fb9392c00d8c339d4952e23795e5a09c550e6f34f58e17b56b6af8621a6",
     "cross-validate/cross_validate.json":
         "9f235b3042daefc0ee82dbaf81e0ef51114e6524bd00407ed7ea3dccb4bd2232",
+    "sweep/sweep.csv": "dbed5ed8cc0c22dca77cd7edf19392af8b42dc29af7df065872636ab10391f6b",
 }
 
 

@@ -426,3 +426,24 @@ def test_greedy_refuses_reloaded_grid(tmp_path):
     assert back.interpolate(X, Y, 0.1) == grid.interpolate(X, Y, 0.1)
     with pytest.raises(ValueError, match="domain and boundary datum"):
         greedy_from_grid(back, "maximize")
+
+
+@pytest.mark.parametrize("t", [0.5, 0.3])
+def test_greedy_read_and_interpolate_share_the_ladder(t):
+    # source times off a ladder time by up to 1e-9 max(1, |t|) + 1e-12 are on
+    # the ladder for both reads; further off, neither read answers
+    grid = _solved_grid()
+    s = greedy_from_grid(grid, "maximize")
+    X, Y, half = np.array([0.1]), np.array([0.0]), grid.epsilon**2 / 2
+    scale = max(1.0, abs(t))
+    for off in (0.0, 0.5e-9 * scale, 1e-9 * scale + 5e-13, 2e-9 * scale):
+        for t_src in (t + off, t - off):
+            answered = []
+            for read in (lambda: grid.interpolate(X, Y, t_src), lambda: s(X, Y, 0, t_src + half)):
+                try:
+                    read()
+                    answered.append(True)
+                except ValueError as err:
+                    assert "ladder" in str(err)
+                    answered.append(False)
+            assert answered == [off < 1.5e-9 * scale] * 2, (t_src, answered)

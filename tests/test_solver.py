@@ -433,3 +433,59 @@ def test_build_grid_refuses_grid_beyond_memory():
     cfg = SolveConfig(domain=Box([-1, -1], [1, 1]), T=0.5, p=3.0, epsilon=0.1)
     with pytest.raises(GridTooLarge, match=r"31329 x nodes .* 81225 y nodes .* 101 slices needs \d+ bytes"):
         build_grid(cfg, BoundaryDatum("y_plus_tx", y_plus_tx_profile(2).fn))
+
+
+def interpolation_batch(grid, seed):
+    """Query rows (X, Y) over the grid's box: random points, and for each axis
+    its nodes, both ends and a point inside the 1e-9-cell range tolerance
+    beyond either end (the other coordinates random)."""
+    rng = np.random.default_rng(seed)
+    axes = grid.x_axes + grid.y_axes
+    lo, hi = [ax.origin for ax in axes], [ax.top for ax in axes]
+    bands = [0.5e-9 * max(ax.n - 1, 1) * ax.spacing for ax in axes]
+    rows = [rng.uniform(lo, hi, (200, len(axes))),
+            np.array([[a - b for a, b in zip(lo, bands)], [a + b for a, b in zip(hi, bands)]])]
+    for a, (ax, band) in enumerate(zip(axes, bands)):
+        special = np.concatenate([[ax.origin - band, ax.origin, ax.top, ax.top + band], ax.nodes()])
+        R = rng.uniform(lo, hi, (len(special), len(axes)))
+        R[:, a] = special
+        rows.append(R)
+    Q = np.concatenate(rows)
+    return Q[:, :grid.m], Q[:, grid.m:]
+
+
+# SHA-256 of interpolate_slice over every slice of the batch above and one
+# broadcast (X column by Y row) query, recorded before interpolate_slice and
+# the greedy strategies shared one reader of grid slices.
+INTERPOLATE_PINNED = {
+    1: "0c03d63264a9e10d2d7a8e1c3aa9a7e66dc858e120becba5111a554429a05722",
+    2: "bf55647c31463a1c5caee9513b801497517aa9226e5d9aa622abaaac780103b7",
+}
+
+
+@pytest.mark.parametrize("m", sorted(INTERPOLATE_PINNED))
+def test_interpolate_slice_pinned(m):
+    if m == 1:
+        grid = solve(small_config(), BoundaryDatum("wavy", wavy_m1))
+    else:
+        grid = build_grid(SolveConfig(domain=Box([-0.5, -0.5], [0.5, 0.5]), T=0.96, p=3.0,
+                                      epsilon=0.8, h_y=0.8, y_seed_lo=[-0.4, -0.4],
+                                      y_seed_hi=[0.4, 0.4]), BoundaryDatum("wavy", wavy_m2))
+    X, Y = interpolation_batch(grid, 11 + m)
+    digest = hashlib.sha256()
+    for i in range(len(grid.t_slices)):
+        digest.update(grid.interpolate_slice(i, X, Y).tobytes())
+    wide = grid.interpolate_slice(len(grid.t_slices) - 1, X[:, None, :], Y[None, :30, :])
+    assert wide.shape == (len(X), 30)
+    digest.update(wide.tobytes())
+    assert digest.hexdigest() == INTERPOLATE_PINNED[m]
+    # past the tolerance the first offending axis and its first value are named
+    axes = grid.x_axes + grid.y_axes
+    for a, ax in enumerate(axes):
+        Q = np.concatenate([X, Y], axis=1)
+        far = 2e-9 * max(ax.n - 1, 1) * ax.spacing
+        Q[7, a], Q[3, a] = ax.origin - far, ax.top + far
+        Q[0, a + 1:] = [b.top + 1.0 for b in axes[a + 1:]]
+        with pytest.raises(InterpolationRangeError) as err:
+            grid.interpolate_slice(0, Q[:, :m], Q[:, m:])
+        assert err.value.offending == (a, ax.top + far)
