@@ -147,10 +147,6 @@ class ParabolicCollar:
         if not (self.epsilon > 0 and self.T > 0):
             raise ValueError("epsilon and T must be positive")
 
-    @property
-    def t_min(self) -> float:
-        return -self.epsilon**2 / 2
-
 
 def classify_parabolic(g: GroupPoint, collar: ParabolicCollar) -> Region:
     """Assign a point to exactly one of interior / lateral collar / initial collar / outside."""

@@ -86,10 +86,10 @@ def node_lattice(grid):
 
 def plan_bytes(m: int, n_x: int, n_y: int, n_ball: int) -> int:
     """Upper bound on the bytes a DppPlan holds, counting every x node as
-    interior: the node lattice, the (x, y) buffers, the datum mask and the
-    per-ball-point arrays.  Keep in step with DppPlan."""
+    interior: the (x, y) buffers, the datum mask and the per-ball-point
+    arrays.  Keep in step with DppPlan."""
     buffers = (1 << 2 * m) + 2 * m + 3      # corners, per-y-axis fraction and index, max/min/sum
-    return n_x * n_y * (8 * (2 * m + buffers) + 1) + 8 * n_ball * n_x * (3 * m + 2)
+    return n_x * n_y * (8 * buffers + 1) + 8 * n_ball * n_x * (3 * m + 2)
 
 
 class DppPlan:
@@ -99,9 +99,9 @@ class DppPlan:
     slice time, depends only on the grid and the ball point, never on the
     slice: the velocities Xs, the position drift, the x cells and fractions,
     and which queries fall back to the datum.  The plan computes these once,
-    per ball point along the first axis of its arrays, holds the node lattice
-    for the collar datum, and owns the (interior x nodes, y nodes) buffers
-    that every slice reuses, so one plan serves one apply_dpp call at a time.
+    per ball point along the first axis of its arrays, and owns the (interior
+    x nodes, y nodes) buffers that every slice reuses, so one plan serves one
+    apply_dpp call at a time.
     The y cells depend on the y node as well as the ball point; they are
     recomputed per slice into the buffers rather than stored for every ball
     point.  The arithmetic and its order are those of a fresh per-call
@@ -110,7 +110,6 @@ class DppPlan:
 
     def __init__(self, grid):
         m, eps = grid.m, grid.epsilon
-        self.lattice = node_lattice(grid)
         self.interior = grid.interior_x_mask()
         Xi = grid.x_nodes()[self.interior]
         self.Yn = grid.y_nodes()
@@ -184,29 +183,32 @@ class DppPlan:
             self.Xs[k][rows], self.Yn[cols] + self.drift[k][rows], np.full(len(lanes), t_src))
 
 
-def apply_dpp(grid, source_index: int, t_target: float,
-              plan: DppPlan | None = None) -> np.ndarray:
-    """One application of the fixed-point operator producing the slice at t_target.
+def apply_dpp(grid, i: int, plan: DppPlan | None = None) -> np.ndarray:
+    """One application of the fixed-point operator: slice i from slice i - 1.
 
     Interior target nodes combine the max, min and weighted average of the
     source values at (Xs, Y + eps^2 Xs/2) over the shared ball point set;
-    collar targets copy the boundary datum.  Queries at source positions in
-    the collar, or at source times <= 0, evaluate the datum in closed form;
-    so do position queries that step past the edge of the position box, which
-    can only happen in the outer margin strip (the drift margin keeps the
-    cone of dependence of the seed region strictly inside the box).  Deferring
-    to the datum there keeps the whole operator monotone in (source, datum)
-    jointly, so the discrete comparison principle survives the truncation.
+    collar target rows are copied from slice i, which holds the datum there
+    (build_grid wrote it; a march changes only interior rows).  Queries at
+    source positions in the collar, or at source times <= 0, evaluate the
+    datum in closed form; so do position queries that step past the edge of
+    the position box, which can only happen in the outer margin strip (the
+    drift margin keeps the cone of dependence of the seed region strictly
+    inside the box).  Deferring to the datum there keeps the whole operator
+    monotone in (source, datum) jointly, so the discrete comparison
+    principle survives the truncation.
 
     ``plan`` is the grid's DppPlan; callers that apply the operator to many
     slices build it once, and a call without one builds its own.
     """
+    if not 1 <= i < len(grid.t_slices):
+        raise IndexError(f"slice {i} has no slice below it on a ladder of {len(grid.t_slices)}")
     if plan is None:
         plan = DppPlan(grid)
     eps = grid.epsilon
     alpha, beta = coin_weights(grid.p, grid.m)
-    t_src = t_target - eps**2 / 2
-    src = grid.values[source_index].reshape(-1)
+    t_src = float(grid.t_slices[i]) - eps**2 / 2
+    src = grid.values[i - 1].reshape(-1)
     mx, mn, acc = plan.mx, plan.mn, plan.acc
     mx.fill(-np.inf)
     mn.fill(np.inf)
@@ -226,7 +228,6 @@ def apply_dpp(grid, source_index: int, t_target: float,
             wv = plan.corners[-1]   # free once the corners are blended into vals
             np.multiply(w, vals, out=wv)
             np.add(acc, wv, out=acc)
-    Xb, Yb = plan.lattice
-    out = grid.boundary(Xb, Yb, np.full(len(Xb), t_target)).reshape(len(plan.interior), ny)
+    out = grid.values[i].reshape(len(plan.interior), ny).copy()
     out[plan.interior] = alpha / 2 * (mx + mn) + beta * acc
     return out.reshape(grid.values.shape[1:])

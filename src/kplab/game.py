@@ -98,8 +98,6 @@ def _rekey(rng: np.random.Generator, seed: int, episode: int) -> np.random.Gener
 
 def _uniform_ball(rng: np.random.Generator, m: int) -> np.ndarray:
     """Uniform point of the open unit ball: a normal direction and radius u^(1/m)."""
-    if m == 1:
-        return np.array([2.0 * rng.random() - 1.0])
     v = rng.standard_normal(m)
     n = np.linalg.norm(v)
     while n == 0.0:
@@ -187,11 +185,14 @@ def run_episode(config: GameConfig, start, s_one: Strategy, s_two: Strategy,
 
 
 def _exact_mean_se(payoffs: np.ndarray):
-    n = len(payoffs)
-    mean = math.fsum(payoffs) / n
+    # a memoryview iterates Python floats, which square bit for bit as numpy
+    # scalars do but faster, and unlike tolist() holds no list of them all
+    xs = memoryview(payoffs)
+    n = len(xs)
+    mean = math.fsum(xs) / n
     if n < 2:
         return mean, 0.0
-    var = math.fsum((x - mean) ** 2 for x in payoffs) / (n - 1)
+    var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -293,9 +294,9 @@ def greedy_from_grid(grid: ValueGrid, mode: str) -> Strategy:
             i = slice_index(t_src)
             for (a, ax, lo_u, hi_u), x, y, lo, hi in zip(y_range, X.tolist(), y_hat, d_lo, d_hi):
                 q_lo, q_hi = y + half_step * (x + lo), y + half_step * (x + hi)
-                if (q_lo - ax.origin) / ax.spacing < lo_u:
+                if not ((q_lo - ax.origin) / ax.spacing >= lo_u):    # NaN fails too
                     raise InterpolationRangeError(a, q_lo, ax.origin, ax.top)
-                if (q_hi - ax.origin) / ax.spacing > hi_u:
+                if not ((q_hi - ax.origin) / ax.spacing <= hi_u):
                     raise InterpolationRangeError(a, q_hi, ax.origin, ax.top)
             vals = read(V[i], scale(q))
             lateral = collar(Xs.T)

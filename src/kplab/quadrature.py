@@ -93,9 +93,6 @@ class BallQuadrature:
             return pts, wts
         raise ValueError(f"unknown quadrature mode {self.mode!r}")
 
-    def count(self, m: int) -> int:
-        return len(self.points_weights(m)[0])
-
 
 def shared_ball_points(m: int):
     """Deterministic closed-ball point set shared by the DPP solver and the game.

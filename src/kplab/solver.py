@@ -8,14 +8,18 @@ The unique bounded function satisfying the discrete fixed-point equation
 
 with u = F on the parabolic collar, is computed by one sweep per time slice:
 slice times are spaced exactly eps^2/2 apart and anchored so the earliest
-slice lands in (-eps^2/2, 0].  Values are multilinear in (X, Y) between
-nodes, which keeps the scheme monotone and hence preserves the comparison
-principle at the discrete level.
+slice lands in (-eps^2/2, 0], up to one rounding (at T=0.45, eps=0.3 it
+sits at +5.55e-17).  Slice 0 holds the datum and is never marched; every
+later slice is computed from the one below.  Values are multilinear in
+(X, Y) between nodes, which keeps the scheme monotone and hence preserves
+the comparison principle at the discrete level.
 
-Collar and initial-slab values are evaluated from the boundary datum in
-closed form at query points rather than interpolated, so the collar is exact
-by construction.  The ball extremum and average use one fixed deterministic
-point set shared with the game engine's greedy strategies.
+build_grid writes the boundary datum into every slice once, and the march
+changes only interior rows, so collar rows hold the datum exactly.  Queries
+at collar velocities and at source times <= 0 evaluate the datum in closed
+form rather than interpolate it.  The ball extremum and average use one
+fixed deterministic point set shared with the game engine's greedy
+strategies.
 
 The operator itself, planned once per grid, lives in kplab.dpp.  build_grid
 refuses, with GridTooLarge, a grid whose values and plan would not fit in
@@ -131,8 +135,9 @@ class ValueGrid:
     """Discrete fixed-point function on x-grid x y-grid x time ladder.
 
     ``values`` has shape (n_slices,) + x_shape + y_shape with slices in
-    ascending time order; slice 0 sits in (-eps^2/2, 0] and the last slice at
-    T.  Collar and exterior nodes hold the boundary datum exactly.
+    ascending time order; slice 0 sits in (-eps^2/2, 0] up to one rounding
+    (+5.55e-17 at T=0.45, eps=0.3) and the last slice at T.  Collar and
+    exterior nodes hold the boundary datum exactly.
     """
 
     m: int
@@ -204,7 +209,7 @@ class ValueGrid:
         q[:self.m], q[self.m:] = np.moveaxis(Xq, -1, 0), np.moveaxis(Yq, -1, 0)
         q = q.reshape(2 * self.m, -1)
         u = self.reader.scale(q)
-        bad = (u < self.u_bounds[0]) | (u > self.u_bounds[1])
+        bad = ~((u >= self.u_bounds[0]) & (u <= self.u_bounds[1]))   # NaN is out of range
         if bad.any():
             a = int(bad.any(axis=1).argmax())
             ax = (self.x_axes + self.y_axes)[a]
@@ -275,20 +280,18 @@ def _require_finite(grid: ValueGrid, i: int):
 
 
 def solve(config: SolveConfig, F: BoundaryDatum) -> ValueGrid:
-    """March the fixed-point operator once per slice from the initial slab up to T."""
+    """March the fixed-point operator once per slice from slice 0 (the datum) up to T."""
     grid = build_grid(config, F)
     plan = DppPlan(grid)
     for i in range(1, len(grid.t_slices)):
-        t = float(grid.t_slices[i])
-        if t <= 0:
-            continue  # still in the initial slab; datum already in place
-        grid.values[i] = apply_dpp(grid, i - 1, t, plan)
+        grid.values[i] = apply_dpp(grid, i, plan)
         _require_finite(grid, i)
     return grid
 
 
 def solve_iterative(config: SolveConfig, F: BoundaryDatum, init, sweeps: int | None = None) -> ValueGrid:
-    """Fixed point by repeated whole-grid sweeps from an arbitrary interior seed.
+    """Fixed point by repeated whole-grid sweeps from an arbitrary interior
+    seed of slices 1..N, the slices each sweep recomputes.
 
     Demonstrates finite-step convergence: slices with t <= i eps^2/2 are
     exact after i sweeps, so ceil(T / (eps^2/2)) sweeps reach the fixed point
@@ -297,35 +300,24 @@ def solve_iterative(config: SolveConfig, F: BoundaryDatum, init, sweeps: int | N
     grid = build_grid(config, F)
     plan = DppPlan(grid)
     interior = grid.interior_x_mask().reshape(grid.x_shape + (1,) * len(grid.y_shape))
-    interior = np.broadcast_to(interior, grid.values.shape[1:])
-    for i, t in enumerate(grid.t_slices):
-        if t > 0:
-            grid.values[i] = np.where(interior, init, grid.values[i])
-    N = rounds(config.T, config.epsilon)
+    grid.values[1:] = np.where(interior, init, grid.values[1:])
     if sweeps is None:
-        sweeps = N
+        sweeps = rounds(config.T, config.epsilon)
     for _ in range(sweeps):
         new = grid.values.copy()
         for i in range(1, len(grid.t_slices)):
-            t = float(grid.t_slices[i])
-            if t > 0:
-                new[i] = apply_dpp(grid, i - 1, t, plan)
+            new[i] = apply_dpp(grid, i, plan)
         grid.values = new
     return grid
 
 
 def fixed_point_residual(grid: ValueGrid) -> float:
-    """Max over interior nodes of |T(slice below) - stored slice|."""
+    """Max over nodes of |T(slice below) - stored slice|; apply_dpp copies
+    the collar rows, so only interior nodes can differ."""
     plan = DppPlan(grid)
-    interior = grid.interior_x_mask().reshape(grid.x_shape + (1,) * len(grid.y_shape))
     worst = 0.0
     for i in range(1, len(grid.t_slices)):
-        t = float(grid.t_slices[i])
-        if t <= 0:
-            continue
-        recomputed = apply_dpp(grid, i - 1, t, plan)
-        diff = np.abs(recomputed - grid.values[i])
-        worst = max(worst, float(np.max(np.where(interior, diff, 0.0))))
+        worst = max(worst, float(np.max(np.abs(apply_dpp(grid, i, plan) - grid.values[i]))))
     return worst
 
 

@@ -416,6 +416,17 @@ def test_greedy_read_rejects_queries_off_the_grid(m):
         s(X, Y, 0, t + grid.epsilon**2 / 4)
 
 
+def test_greedy_read_rejects_nan_state():
+    # NaN fails every comparison, so the range check must test for being in range
+    grid = _solved_grid(eps=0.3)
+    s = greedy_from_grid(grid, "maximize")
+    t = float(grid.t_slices[-1])
+    with pytest.raises(InterpolationRangeError):
+        s(np.array([np.nan]), np.array([0.0]), 0, t)
+    with pytest.raises(ValueError):
+        s(np.array([0.1]), np.array([np.nan]), 0, t)
+
+
 def test_greedy_refuses_reloaded_grid(tmp_path):
     grid = solve(SolveConfig(domain=interval(-1, 1), T=0.1, p=3.0, epsilon=0.4,
                              y_seed_lo=[-0.3], y_seed_hi=[0.3]), datum_y_plus_tx())

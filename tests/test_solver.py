@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kplab
+from kplab.dpp import DppPlan, plan_bytes
 from kplab.domains import Ball, BoundaryDatum, Box, interval, mcshane_extend
 from kplab.geometry import GroupPoint, point
 from kplab.operators import affine_profile, coin_weights, constant_profile, y_plus_tx_profile
@@ -95,8 +96,10 @@ def test_apply_dpp_constant_slice():
     cfg = small_config()
     F = datum_const(0.7)
     grid = build_grid(cfg, F)
-    out = apply_dpp(grid, 0, float(grid.t_slices[1]))
+    out = apply_dpp(grid, 1)
     assert np.max(np.abs(out - 0.7)) < 1e-12
+    with pytest.raises(IndexError):
+        apply_dpp(grid, 0)   # slice 0 has no slice below it
 
 
 def test_affine_fixed_point_small():
@@ -204,6 +207,16 @@ def test_insufficient_sweeps_leave_top_slice_unconverged():
     assert np.max(np.abs(a.values - b.values)) > 1.0
 
 
+@pytest.mark.parametrize("eps", [0.3, 0.15])
+def test_solve_iterative_matches_solve_with_slice_zero_above_zero(eps):
+    # at T=0.45 the ladder puts slice 0 one rounding above zero; it holds the
+    # datum and no sweep recomputes it, so it must not be seeded either
+    cfg = small_config(eps=eps, T=0.45)
+    F = datum_y_plus_tx()
+    assert 0 < time_ladder(cfg.T, eps)[1][-1] < 1e-15
+    assert np.array_equal(solve_iterative(cfg, F, init=1e6).values, solve(cfg, F).values)
+
+
 def test_bound_preservation():
     cfg = small_config()
     F = BoundaryDatum("wavy", lambda X, Y, t: np.sin(2 * X[..., 0]) * np.cos(Y[..., 0])
@@ -239,6 +252,15 @@ def test_interpolation_queries():
         grid.interpolate(np.array([0.25]), np.array([50.0]), t)
     with pytest.raises(ValueError):
         grid.interpolate(np.array([0.25]), np.array([0.1]), t - 0.33 * grid.epsilon**2)
+
+
+def test_interpolate_nan_query_names_its_axis():
+    grid = solve(small_config(), datum_y_plus_tx())
+    t = float(grid.t_slices[-1])
+    for a, (X, Y) in enumerate([([np.nan], [0.1]), ([0.25], [np.nan])]):
+        with pytest.raises(InterpolationRangeError) as err:
+            grid.interpolate(np.array(X), np.array(Y), t)
+        assert err.value.offending[0] == a and math.isnan(err.value.offending[1])
 
 
 def test_binary_round_trip(tmp_path):
@@ -372,7 +394,7 @@ def test_planned_operator_matches_reference_bitwise(domain, p, eps, T, h_y, seed
         t = float(grid.t_slices[i])
         if t > 0:
             assert np.array_equal(grid.values[i], reference_apply_dpp(grid, i - 1, t))
-    assert np.array_equal(apply_dpp(grid, len(grid.t_slices) - 2, t), grid.values[-1])
+    assert np.array_equal(apply_dpp(grid, len(grid.t_slices) - 1), grid.values[-1])
 
 
 # SHA-256 of values.tobytes() for m=2 solves of three rounds, the last two of
@@ -395,6 +417,25 @@ def test_m2_interpolated_rounds_pinned(case):
     assert grid.values.shape == (4, 27, 27, 10, 10)
     assert list(grid.t_slices[2:] - grid.epsilon**2 / 2 > 0) == [True, True]
     assert hashlib.sha256(grid.values.tobytes()).hexdigest() == digest
+
+
+def plan_held_bytes(plan):
+    return sum(a.nbytes for v in vars(plan).values()
+               for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray))
+
+
+@pytest.mark.parametrize("domain, seed, F", [
+    (interval(-1, 1), [-0.5, 0.5], datum_y_plus_tx()),
+    (Box([-0.5, -0.5], [0.5, 0.5]), [-0.4, -0.4, 0.4, 0.4], BoundaryDatum("wavy", wavy_m2)),
+    (Ball([0.1, 0.0], 0.5), [-0.4, -0.4, 0.4, 0.4], BoundaryDatum("wavy", wavy_m2)),
+], ids=["m1-interval", "m2-box", "m2-ball"])
+def test_plan_bytes_bounds_what_the_plan_holds(domain, seed, F):
+    m = domain.m
+    eps, T, h_y = (0.1, 0.2, None) if m == 1 else (0.8, 0.96, 0.8)
+    grid = build_grid(SolveConfig(domain=domain, T=T, p=3.0, epsilon=eps, h_y=h_y,
+                                  y_seed_lo=seed[:m], y_seed_hi=seed[m:]), F)
+    n_x, n_y = math.prod(grid.x_shape), math.prod(grid.y_shape)
+    assert 0 < plan_held_bytes(DppPlan(grid)) <= plan_bytes(m, n_x, n_y, len(grid.ball_weights))
 
 
 FAULTS_SCRIPT = """
